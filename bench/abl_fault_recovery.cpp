@@ -181,8 +181,10 @@ int main() {
       "option fault drop_doorbell=0,dup_doorbell=0,delay_wakeup=0,"
       "corrupt_status=0,drop_ipi=0,partner_death=0,override_fail=0,seed=1\n";
   SystemConfig plain_cfg;
-  plain_cfg.extra_override_config =
-      "#" + std::string(fault_line.size() - 2, 'x') + "\n";
+  std::string& padding = plain_cfg.extra_override_config;
+  padding.assign(fault_line.size(), 'x');
+  padding.front() = '#';
+  padding.back() = '\n';
   HybridSystem plain(plain_cfg);
   std::uint64_t plain_sum = 0;
   auto plain_r = plain.run_hybrid(

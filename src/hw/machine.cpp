@@ -44,10 +44,10 @@ Status Machine::send_ipi(unsigned from, unsigned to, std::uint8_t vector,
 void Machine::shootdown_ipi_round(Core& init, unsigned target) {
   init.charge(costs().tlb_shootdown_ipi);
   ++ipis_sent_;
-  // Multi-tenant runs resolve the governing plan by initiating core so one
-  // tenant's IPI-fault schedule never perturbs another tenant's shootdowns.
+  // The governing plan is resolved by initiating core so one tenant's
+  // IPI-fault schedule never perturbs another tenant's shootdowns.
   FaultPlan* plan =
-      ipi_fault_resolver_ ? ipi_fault_resolver_(init.id()) : fault_plan_;
+      ipi_fault_resolver_ ? ipi_fault_resolver_(init.id()) : nullptr;
   if (plan != nullptr &&
       plan->should_inject(FaultClass::kDropShootdownIpi, init.cycles())) {
     // The IPI was lost on the wire. The initiator's ack timeout expires and

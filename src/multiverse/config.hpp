@@ -66,8 +66,8 @@ struct ToolchainOptions {
   // single-daemon footprint.
   int service_workers = 1;
   // Maximum number of concurrent tenants the runtime will host. 1 (default)
-  // keeps the single-guest model: tenant_create beyond the implicit tenant 0
-  // fails, and nothing multi-tenant is ever allocated.
+  // keeps the single-guest model: tenant 0 (the startup process) is the
+  // only tenant, and tenant_create fails.
   int tenants = 1;
   // Placement policy for top-level HRT threads.
   HrtPlacement hrt_placement = HrtPlacement::kRoundRobin;

@@ -28,7 +28,7 @@ EventChannel::EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
   // the bare pre-tenant names; a created tenant's channels are named by
   // their tenant-local ordinal so a recreated tenant exports identically.
   const std::string ns = metrics::Registry::tenant_prefix(tenant_.tenant_id);
-  const int mid = tenant_.local_ordinal >= 0 ? tenant_.local_ordinal : id_;
+  const int mid = tenant_.tenant_id != 0 ? tenant_.local_ordinal : id_;
   if (tenant_.tenant_id != 0) {
     tenant_args_ = strfmt(",\"tenant\":%d", tenant_.tenant_id);
   }
@@ -450,7 +450,8 @@ Result<std::uint64_t> EventChannel::complete_hardened(std::uint64_t seq) {
   // A generous first deadline (several uncontended async round trips) so a
   // healthy channel never times out; each expiry doubles it. The poll charge
   // keeps the requester's clock moving even when it is the only runnable
-  // task, so a lost wakeup can never hang the schedule.
+  // task, so a lost wakeup can never hang the schedule. A request still
+  // unserved after the last retry fails with kIo, like partner death.
   static constexpr int kMaxAttempts = 8;
   static constexpr Cycles kPollCycles = 200;
   Cycles deadline = 4 * hw::costs().async_call_roundtrip();
@@ -466,10 +467,7 @@ Result<std::uint64_t> EventChannel::complete_hardened(std::uint64_t seq) {
       // and re-publish the clobbered submission.
       if (partner_died_) {
         // No server left to re-serve: fail the request in place.
-        page_write(slot + Ring::kSlotRspStatus,
-                   static_cast<std::uint64_t>(Err::kIo));
-        page_write(slot + Ring::kSlotRspValue, 0);
-        page_write(slot + Ring::kSlotRspSeq, seq);
+        fail_in_place(slot, seq);
         break;
       }
       page_write(slot + Ring::kSlotState, Ring::kSubmitted);
@@ -478,13 +476,8 @@ Result<std::uint64_t> EventChannel::complete_hardened(std::uint64_t seq) {
       continue;
     }
     if (partner_died_) {
-      // Partner died with this request in flight; complete it as kIo so the
-      // reap path (latency, slot release, claimer wake) stays uniform.
-      page_write(slot + Ring::kSlotRspStatus,
-                 static_cast<std::uint64_t>(Err::kIo));
-      page_write(slot + Ring::kSlotRspValue, 0);
-      page_write(slot + Ring::kSlotRspSeq, seq);
-      page_write(slot + Ring::kSlotState, Ring::kCompleted);
+      // Partner died with this request in flight.
+      fail_in_place(slot, seq);
       break;
     }
     core.charge(kPollCycles);
@@ -493,8 +486,12 @@ Result<std::uint64_t> EventChannel::complete_hardened(std::uint64_t seq) {
     if (requester_cycles() - wait_begin < deadline) continue;
     // Deadline expired: presume the wakeup was lost and re-drive the
     // transport, with exponential backoff and a hard retry cap.
-    ++attempts;
-    MV_CHECK(attempts <= kMaxAttempts, "event-channel retry limit exceeded");
+    if (++attempts > kMaxAttempts) {
+      // The server never answered: fail this request in place, as partner
+      // death does. Nothing was recovered.
+      fail_in_place(slot, seq);
+      return reap(seq);
+    }
     doorbell_presumed_lost |= retry_transport(meta);
     deadline *= 2;
     wait_begin = requester_cycles();
@@ -504,6 +501,13 @@ Result<std::uint64_t> EventChannel::complete_hardened(std::uint64_t seq) {
     plan_->note_recovered(FaultClass::kDropDoorbell);
   }
   return reap(seq);
+}
+
+void EventChannel::fail_in_place(std::uint64_t slot, std::uint64_t seq) {
+  page_write(slot + Ring::kSlotRspStatus, static_cast<std::uint64_t>(Err::kIo));
+  page_write(slot + Ring::kSlotRspValue, 0);
+  page_write(slot + Ring::kSlotRspSeq, seq);
+  page_write(slot + Ring::kSlotState, Ring::kCompleted);
 }
 
 // Re-drive the transport after a deadline expiry. Returns true when the

@@ -93,11 +93,11 @@ class EventChannel final : public naut::LegacyChannel {
   // Request kinds in a slot's kind word.
   enum : std::uint64_t { kIdle = 0, kSyscall = 1, kFault = 2 };
 
-  // Attribution of this channel to a created tenant. The default (tenant 0,
-  // the implicit host tenant) names instruments exactly as the pre-tenant
-  // code did and wires no SLO hooks, so single-tenant behavior is bitwise
-  // unchanged. For a created tenant the runtime passes the tenant id (tags
-  // flight-recorder events, traces, and the MV_CHECK context), a
+  // Attribution of this channel to its tenant. Tenant 0 (the default) names
+  // instruments exactly as the pre-tenant code did — bare names keyed by
+  // the channel id — and wires no SLO hooks, so single-tenant behavior is
+  // bitwise unchanged. For a created tenant the runtime passes the tenant id
+  // (tags flight-recorder events, traces, and the MV_CHECK context), a
   // tenant-local channel ordinal (instrument names become
   // tenant/<id>/channel/<ordinal>/... — ordinals restart at 0 per tenant
   // incarnation, so destroy-then-recreate exports identically even though
@@ -106,7 +106,7 @@ class EventChannel final : public naut::LegacyChannel {
   // path, never looked up).
   struct TenantBinding {
     int tenant_id = 0;
-    int local_ordinal = -1;  // < 0: use the group id in instrument names
+    int local_ordinal = 0;  // instrument-name key for tenants other than 0
     metrics::Histogram* slo_latency = nullptr;
     metrics::Counter* slo_watchdog_stalls = nullptr;
     metrics::Counter* slo_doorbells_suppressed = nullptr;
@@ -293,6 +293,9 @@ class EventChannel final : public naut::LegacyChannel {
   // partner-death teardown.
   Result<std::uint64_t> complete_hardened(std::uint64_t seq);
   Result<std::uint64_t> reap(std::uint64_t seq);
+  // Complete `seq`'s slot locally with kIo (no server will answer it), so
+  // the reap path — latency, slot release, claimer wake — stays uniform.
+  void fail_in_place(std::uint64_t slot, std::uint64_t seq);
   // Deadline expiry handling: re-drive whatever transport the request used;
   // may degrade the channel to the sync transport. Returns true when the
   // expiry was attributed to a lost async doorbell.

@@ -34,8 +34,8 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
                                       std::array<std::uint64_t, 6> args) {
   // Observational tenant context (abort-header attribution): overridden
   // calls never reach the channel, so stamp the owner here too.
-  FlightRecorder::instance().set_current_tenant(
-      group_->tenant != nullptr ? group_->tenant->id : 0);
+  Tenant& tenant = *group_->tenant;
+  FlightRecorder::instance().set_current_tenant(tenant.id);
   // AeroKernel overrides: if the family is overridden — statically by the
   // developer's config, or promoted at runtime by the hybridization governor
   // — the wrapper invokes the kernel-mode variant directly, no forwarding.
@@ -43,11 +43,11 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
   // lookup); the resolved vaddr is cached in the table entry, so steady-state
   // calls charge no lookup at all.
   naut::Nautilus& naut = rt_->naut();
-  HybridizationGovernor* gov = rt_->governor_for(group_->tenant);
+  HybridizationGovernor* gov = tenant.governor.get();
   naut::NautThread* self = naut.current_thread();
   const unsigned core_id = self != nullptr ? self->core : naut.boot_core();
   hw::Core& core = rt_->hvm().machine().core(core_id);
-  if (OverrideEntry* entry = rt_->find_override(nr, group_->tenant);
+  if (OverrideEntry* entry = MultiverseRuntime::find_override(nr, tenant);
       entry != nullptr) {
     // Injected override failure: demote the family and fall through to the
     // forwarded path below — the call completes either way.
@@ -59,7 +59,7 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
       MV_RETURN_IF_ERROR(rt_->warm_override(*entry, core_id));
       const std::uint64_t begin = core.cycles();
       auto result =
-          rt_->kernel_mode_memop(nr, args, core_id, group_->owner_proc);
+          rt_->kernel_mode_memop(nr, args, core_id, *tenant.proc);
       const Err code = result.code();
       if (code != Err::kUnsupported && code != Err::kState) {
         // Success — or a genuine syscall error (kInval etc.) forwarding
@@ -91,7 +91,8 @@ std::vector<Result<std::uint64_t>> HrtCtx::syscall_batch(
   std::vector<Result<std::uint64_t>> out(reqs.size(),
                                          err(Err::kAgain, "batch pending"));
   naut::Nautilus& naut = rt_->naut();
-  HybridizationGovernor* gov = rt_->governor_for(group_->tenant);
+  Tenant& tenant = *group_->tenant;
+  HybridizationGovernor* gov = tenant.governor.get();
   naut::NautThread* self = naut.current_thread();
   const unsigned core_id = self != nullptr ? self->core : naut.boot_core();
   hw::Core& core = rt_->hvm().machine().core(core_id);
@@ -119,7 +120,7 @@ std::vector<Result<std::uint64_t>> HrtCtx::syscall_batch(
   };
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     // Same dispatch decision as the single-call path, via the same table.
-    if (rt_->find_override(reqs[i].nr, group_->tenant) != nullptr ||
+    if (MultiverseRuntime::find_override(reqs[i].nr, tenant) != nullptr ||
         reqs[i].nr == ros::SysNr::kExitGroup) {
       // Overridden memory calls execute kernel-mode (never forwarded) and
       // exits must keep their group-finished side effect; flushing the
@@ -156,7 +157,7 @@ ros::TimeVal HrtCtx::vdso_gettimeofday() {
   // vdso code execution). Attributed to the group's owning process — in
   // shared-daemon mode the partner is a pool worker that may belong to
   // another tenant.
-  ros::Process& proc = *group_->owner_proc;
+  ros::Process& proc = *group_->tenant->proc;
   ++proc.vdso_gtod_calls;
   rt_->linux().refresh_vvar(proc);
   naut::Nautilus& naut = rt_->naut();
@@ -180,7 +181,7 @@ ros::TimeVal HrtCtx::vdso_gettimeofday() {
 }
 
 std::uint64_t HrtCtx::vdso_getpid() {
-  ros::Process& proc = *group_->owner_proc;
+  ros::Process& proc = *group_->tenant->proc;
   ++proc.vdso_getpid_calls;
   naut::Nautilus& naut = rt_->naut();
   naut::NautThread* self = naut.current_thread();
@@ -245,7 +246,7 @@ Status HrtCtx::sigaction(int sig, ros::GuestSigHandler handler) {
       syscall(ros::SysNr::kRtSigaction,
               {static_cast<std::uint64_t>(sig), 0, 0, 0, 0, 0})
           .status());
-  ros::Process& proc = *group_->owner_proc;
+  ros::Process& proc = *group_->tenant->proc;
   if (sig < 0 || sig >= ros::kNumSignals) return err(Err::kInval);
   proc.sig[static_cast<std::size_t>(sig)] =
       ros::SigEntry{std::move(handler), true, false};
@@ -259,7 +260,7 @@ void HrtCtx::charge_user(std::uint64_t cycles) {
       .machine()
       .core(self != nullptr ? self->core : naut.boot_core())
       .charge(cycles);
-  group_->owner_proc->utime_cycles += cycles;
+  group_->tenant->proc->utime_cycles += cycles;
 }
 
 Result<std::uint64_t> HrtCtx::aerokernel_call(std::string_view symbol,
@@ -282,14 +283,11 @@ MultiverseRuntime::MultiverseRuntime(Sched& sched, ros::LinuxSim& linux,
     : sched_(&sched), linux_(&linux), hvm_(&hvm), naut_(&naut) {}
 
 MultiverseRuntime::~MultiverseRuntime() {
-  // The machine and HVM hold raw pointers into fault_plan_ but outlive this
-  // runtime (HybridSystem destroys members in reverse declaration order, and
-  // ROS address-space teardown still charges shootdown IPIs through the
-  // machine afterwards) — detach them before the plan is freed.
-  hvm_->set_fault_plan(nullptr);
-  hvm_->machine().set_fault_plan(nullptr);
-  // The per-tenant resolvers capture `this`; clear them even if no tenant was
-  // ever created (the setters are cheap and idempotent).
+  // The fault-plan resolvers capture `this` and hand out pointers into the
+  // tenants' plans, but the machine and HVM outlive this runtime
+  // (HybridSystem destroys members in reverse declaration order, and ROS
+  // address-space teardown still charges shootdown IPIs through the machine
+  // afterwards) — detach them before the plans are freed.
   hvm_->set_doorbell_fault_resolver(nullptr);
   hvm_->machine().set_ipi_fault_resolver(nullptr);
   FlightRecorder::instance().unregister_state_providers(this);
@@ -297,7 +295,7 @@ MultiverseRuntime::~MultiverseRuntime() {
 
 Status MultiverseRuntime::startup(ros::Thread& main_thread,
                                   std::span<const std::uint8_t> fat_binary) {
-  process_ = main_thread.proc;
+  ros::Process& proc = *main_thread.proc;
   hw::Core& core = linux_->core_of(main_thread);
 
   // 1. Parse the embedded AeroKernel image and configuration out of the fat
@@ -306,16 +304,34 @@ Status MultiverseRuntime::startup(ros::Thread& main_thread,
   MV_ASSIGN_OR_RETURN(Toolchain::Parsed parsed, Toolchain::load(fat_binary));
   config_ = parsed.config;
 
-  // Deterministic fault injection: build the plan from the embedded config
-  // and hand it to every layer that injects (VMM doorbells, machine IPIs) or
-  // recovers (event channels, installed per group at creation).
-  if (!config_.options.fault_spec.empty()) {
-    MV_ASSIGN_OR_RETURN(FaultPlan plan,
-                        FaultPlan::parse(config_.options.fault_spec));
-    fault_plan_ = std::make_unique<FaultPlan>(std::move(plan));
-    hvm_->set_fault_plan(fault_plan_.get());
-    hvm_->machine().set_fault_plan(fault_plan_.get());
-  }
+  // The startup process becomes tenant 0, on the boot root, with its fault
+  // plan built from the embedded config. Every layer that injects (VMM
+  // doorbells, machine IPIs) finds the governing plan through the resolvers
+  // below; event channels get theirs per group at creation.
+  auto tenant0 = std::make_unique<Tenant>();
+  tenant0->proc = &proc;
+  MV_RETURN_IF_ERROR(init_tenant_state(*tenant0, config_.options.fault_spec));
+  tenants_by_proc_[&proc] = tenant0.get();
+  tenants_by_root_[0] = tenant0.get();
+  tenants_[0] = std::move(tenant0);
+  // Doorbell faults resolve by channel id == group id to the owning tenant's
+  // plan; a channel no group owns keeps tenant 0's.
+  hvm_->set_doorbell_fault_resolver(
+      [this](std::uint64_t chan_id) -> FaultPlan* {
+        const auto it = groups_by_id_.find(static_cast<int>(chan_id));
+        const Tenant& owner =
+            it != groups_by_id_.end() ? *it->second->tenant : host();
+        return owner.fault_plan.get();
+      });
+  // Shootdown IPIs resolve by the initiating kernel thread's address-space
+  // root (0, the boot root, is tenant 0's). A root no tenant owns (e.g.
+  // mid-destroy) injects nothing.
+  hvm_->machine().set_ipi_fault_resolver([this](unsigned) -> FaultPlan* {
+    naut::NautThread* nt = naut_->current_thread();
+    const auto it = tenants_by_root_.find(nt != nullptr ? nt->cr3 : 0);
+    return it == tenants_by_root_.end() ? nullptr
+                                        : it->second->fault_plan.get();
+  });
 
   // 2. Install the image in HRT physical memory and boot the AeroKernel.
   MV_RETURN_IF_ERROR(
@@ -324,23 +340,6 @@ Status MultiverseRuntime::startup(ros::Thread& main_thread,
   MV_RETURN_IF_ERROR(
       hvm_->hypercall(main_thread.core, vmm::Hypercall::kBootHrt).status());
   naut_->symbols().set_cache_enabled(config_.options.symbol_cache);
-
-  // Seed the enum-indexed override dispatch table from the parsed config:
-  // statically-overridden families start active (symbol warmed lazily on
-  // first use); the rest start forwarding. With `option hybridize on` the
-  // governor owns the table from here on and may flip entries at runtime.
-  for (std::size_t i = 0; i < kSysFamilyCount; ++i) {
-    const auto family = static_cast<SysFamily>(i);
-    OverrideEntry& entry = override_table_.at(family);
-    entry.spec = config_.find(family_name(family));
-    entry.active = entry.spec != nullptr;
-    entry.kernel_vaddr = 0;
-  }
-  if (config_.options.hybridize.enabled) {
-    governor_ = std::make_unique<HybridizationGovernor>(
-        config_.options.hybridize, override_table_, *naut_, hvm_->machine(),
-        fault_plan_.get());
-  }
 
   // 3. Register the ROS signal handler + stack with the HVM (exit signaling
   //    bypasses the ROS kernel entirely).
@@ -364,11 +363,11 @@ Status MultiverseRuntime::startup(ros::Thread& main_thread,
   if (config_.options.merge_address_space) {
     MV_RETURN_IF_ERROR(
         hvm_->hypercall(main_thread.core, vmm::Hypercall::kMergeAddressSpaces,
-                        process_->as->cr3())
+                        proc.as->cr3())
             .status());
-    std::vector<unsigned> domain = process_->as->coherency_domain();
+    std::vector<unsigned> domain = proc.as->coherency_domain();
     for (const unsigned c : hvm_->config().hrt_cores) domain.push_back(c);
-    process_->as->set_coherency_domain(std::move(domain));
+    proc.as->set_coherency_domain(std::move(domain));
   }
 
   started_ = true;
@@ -474,16 +473,16 @@ void MultiverseRuntime::on_user_interrupt(std::uint64_t hrt_tid) {
 Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
                                                    ros::GuestThreadFn fn) {
   if (!started_) return err(Err::kState, "Multiverse runtime not started");
+  const auto tit = tenants_by_proc_.find(caller.proc);
+  if (tit == tenants_by_proc_.end()) {
+    return err(Err::kPerm, "caller's process is not a tenant");
+  }
   auto group = std::make_unique<ExecGroup>();
   group->id = next_group_id_++;
   group->runtime = this;
   group->body = std::move(fn);
-  group->owner_proc = caller.proc;
-  if (const auto tit = tenants_by_proc_.find(caller.proc);
-      tit != tenants_by_proc_.end()) {
-    group->tenant = tit->second;
-    group->tenant->group_ids.push_back(group->id);
-  }
+  group->tenant = tit->second;
+  group->tenant->group_ids.push_back(group->id);
   // Place the group's top-level HRT thread across the partition (not pinned
   // to the boot core); the channel is bound to the same core so its cycle
   // clock and doorbells track the thread that actually uses it.
@@ -493,19 +492,17 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
   metrics::Registry::instance()
       .counter(strfmt("mv/groups/per_core/%u", hrt_core))
       .inc();
-  // Tenant channels carry their owner into the telemetry layer: instruments
-  // resolve in the tenant's namespace (named by a tenant-local ordinal, so
-  // recreation exports identically) and the tenant's cached SLO instruments
-  // ride the binding — no per-request name lookups anywhere.
+  // Channels carry their owner into the telemetry layer: instruments resolve
+  // in the tenant's namespace (named by a tenant-local ordinal, so recreation
+  // exports identically) and the tenant's cached SLO instruments ride the
+  // binding — no per-request name lookups anywhere.
+  Tenant& t = *group->tenant;
   EventChannel::TenantBinding binding;
-  if (group->tenant != nullptr) {
-    Tenant& t = *group->tenant;
-    binding.tenant_id = t.id;
-    binding.local_ordinal = t.next_channel_ordinal++;
-    binding.slo_latency = t.slo_latency;
-    binding.slo_watchdog_stalls = t.slo_watchdog_stalls;
-    binding.slo_doorbells_suppressed = t.slo_doorbells_suppressed;
-  }
+  binding.tenant_id = t.id;
+  binding.local_ordinal = t.next_channel_ordinal++;
+  binding.slo_latency = t.slo_latency;
+  binding.slo_watchdog_stalls = t.slo_watchdog_stalls;
+  binding.slo_doorbells_suppressed = t.slo_doorbells_suppressed;
   group->channel = std::make_unique<EventChannel>(
       *hvm_, *linux_, *sched_, hrt_core, group->id, binding);
   group->channel->set_ring_depth(
@@ -513,11 +510,10 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
   group->channel->set_watchdog_multiple(
       static_cast<unsigned>(std::max(0, config_.options.watchdog)));
   // Recovery faults come from the owning tenant's plan; a tenant with no
-  // plan gets a fault-free channel even when the runtime-wide plan injects.
-  FaultPlan* chan_plan =
-      group->tenant != nullptr ? group->tenant->fault_plan.get()
-                               : fault_plan_.get();
-  if (chan_plan != nullptr) group->channel->set_fault_plan(chan_plan);
+  // plan gets a fault-free channel even when another tenant's plan injects.
+  if (t.fault_plan != nullptr) {
+    group->channel->set_fault_plan(t.fault_plan.get());
+  }
   MV_RETURN_IF_ERROR(group->channel->init());
 
   ExecGroup* raw = group.get();
@@ -585,12 +581,11 @@ Status MultiverseRuntime::launch_hrt_thread(ExecGroup* group,
     // Adopt the group's channel and apply the state superpositions.
     self->channel = group->channel.get();
     self->fs_base = group->fs_base;
-    if (group->tenant != nullptr) {
-      // Tenant threads run on the tenant's stamped address-space root; the
-      // kernel activates it lazily and nested threads inherit it.
-      self->cr3 = group->tenant->hrt_root;
-      self->tenant_ros_cr3 = group->tenant->ros_cr3;
-    }
+    // Tenant threads run on the tenant's stamped address-space root (0, the
+    // boot root, for tenant 0); the kernel activates it lazily and nested
+    // threads inherit it.
+    self->cr3 = group->tenant->hrt_root;
+    self->tenant_ros_cr3 = group->tenant->ros_cr3;
     hw::Core& hcore = rt->hvm_->machine().core(self->core);
     hcore.load_gdt(group->gdt);
     hcore.set_fs_base(group->fs_base);
@@ -690,7 +685,7 @@ void MultiverseRuntime::enqueue_ready(ExecGroup* group) {
         static_cast<double>(shard.ready.size()));
     MV_FR_EVENT_T(group->hrt_core, FrKind::kReadyEnqueue, 0,
                   static_cast<std::uint64_t>(group->id), shard.ready.size(),
-                  "", group->tenant != nullptr ? group->tenant->id : 0);
+                  "", group->tenant->id);
   }
   // Wake only this shard's worker. wake() (not unblock()) so a doorbell that
   // lands while the worker is mid-drain is never lost: it parks a
@@ -932,14 +927,12 @@ Status MultiverseRuntime::warm_override(OverrideEntry& entry, unsigned core) {
 
 Result<std::uint64_t> MultiverseRuntime::kernel_mode_memop(
     ros::SysNr nr, std::array<std::uint64_t, 6> args, unsigned hrt_core,
-    ros::Process* proc) {
+    ros::Process& proc) {
   // Kernel-mode page-table manipulation: no ring crossing, no forwarding, no
   // VMM exits — "page table edits combined with page faults, all of which
   // can occur hundreds of times faster within the kernel".
-  if (proc == nullptr) proc = process_;
-  if (proc == nullptr) return err(Err::kState, "no process");
   hw::Core& core = hvm_->machine().core(hrt_core);
-  ros::AddressSpace& as = *proc->as;
+  ros::AddressSpace& as = *proc.as;
   switch (nr) {
     case ros::SysNr::kMmap:
       core.charge(220);
@@ -970,13 +963,13 @@ Result<std::uint64_t> MultiverseRuntime::kernel_mode_memop(
 Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
                                              const std::string& fault_spec) {
   if (!started_) return err(Err::kState, "Multiverse runtime not started");
-  if (caller.proc == process_) {
-    return err(Err::kInval, "the startup process is already tenant 0");
+  if (const auto it = tenants_by_proc_.find(caller.proc);
+      it != tenants_by_proc_.end()) {
+    return it->second->id == 0
+               ? err(Err::kInval, "the startup process is already tenant 0")
+               : err(Err::kExist, "process already owns a tenant");
   }
-  if (tenants_by_proc_.count(caller.proc) != 0) {
-    return err(Err::kExist, "process already owns a tenant");
-  }
-  // The implicit tenant 0 counts against the cap.
+  // Tenant 0 counts against the cap.
   if (tenant_count() >=
       static_cast<std::size_t>(std::max(1, config_.options.tenants))) {
     return err(Err::kAgain, "tenant cap reached (option tenants)");
@@ -991,27 +984,7 @@ Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
   tenant->id = free_id;
   tenant->proc = caller.proc;
   tenant->ros_cr3 = caller.proc->as->cr3();
-  if (!fault_spec.empty()) {
-    MV_ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::parse(fault_spec));
-    tenant->fault_plan = std::make_unique<FaultPlan>(std::move(plan));
-    tenant->fault_plan->bind_tenant(tenant->id);
-  }
-  // Per-tenant override dispatch, seeded from the same embedded config as
-  // the runtime-wide table, with its own governor when hybridization is on —
-  // promotions in one tenant must never flip another tenant's calls.
-  tenant->override_table = std::make_unique<OverrideTable>();
-  for (std::size_t i = 0; i < kSysFamilyCount; ++i) {
-    const auto family = static_cast<SysFamily>(i);
-    OverrideEntry& entry = tenant->override_table->at(family);
-    entry.spec = config_.find(family_name(family));
-    entry.active = entry.spec != nullptr;
-    entry.kernel_vaddr = 0;
-  }
-  if (config_.options.hybridize.enabled) {
-    tenant->governor = std::make_unique<HybridizationGovernor>(
-        config_.options.hybridize, *tenant->override_table, *naut_,
-        hvm_->machine(), tenant->fault_plan.get());
-  }
+  MV_RETURN_IF_ERROR(init_tenant_state(*tenant, fault_spec));
 
   // Cached-image boot: one hypercall, one sparse PML4 stamp — no firmware
   // bring-up, no image reinstall. Measured on both cycle domains it touches
@@ -1032,8 +1005,6 @@ Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
   std::vector<unsigned> domain = caller.proc->as->coherency_domain();
   for (const unsigned c : hvm_->config().hrt_cores) domain.push_back(c);
   caller.proc->as->set_coherency_domain(std::move(domain));
-
-  install_tenant_fault_resolvers();
 
   metrics::Registry& reg = metrics::Registry::instance();
   reg.counter("mv/tenant/created").inc();
@@ -1060,6 +1031,9 @@ Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
 }
 
 Status MultiverseRuntime::tenant_destroy(int tenant_id) {
+  if (tenant_id == 0) {
+    return err(Err::kPerm, "tenant 0 lives as long as the runtime");
+  }
   const auto tit = tenants_.find(tenant_id);
   if (tit == tenants_.end()) return err(Err::kNoEnt, "no such tenant");
   Tenant* tenant = tit->second.get();
@@ -1076,21 +1050,15 @@ Status MultiverseRuntime::tenant_destroy(int tenant_id) {
   const std::string ns = metrics::Registry::tenant_prefix(tenant_id);
   TenantSloSnapshot snap;
   snap.tenant_id = tenant_id;
-  if (tenant->slo_latency != nullptr) {
-    const metrics::Histogram& lat = *tenant->slo_latency;
-    snap.requests = lat.count();
-    snap.latency_mean = lat.mean();
-    snap.latency_p50 = lat.percentile(50);
-    snap.latency_p90 = lat.percentile(90);
-    snap.latency_p99 = lat.percentile(99);
-    snap.latency_max = lat.max();
-  }
-  if (tenant->slo_watchdog_stalls != nullptr) {
-    snap.watchdog_stalls = tenant->slo_watchdog_stalls->value();
-  }
-  if (tenant->slo_doorbells_suppressed != nullptr) {
-    snap.doorbells_suppressed = tenant->slo_doorbells_suppressed->value();
-  }
+  const metrics::Histogram& lat = *tenant->slo_latency;
+  snap.requests = lat.count();
+  snap.latency_mean = lat.mean();
+  snap.latency_p50 = lat.percentile(50);
+  snap.latency_p90 = lat.percentile(90);
+  snap.latency_p99 = lat.percentile(99);
+  snap.latency_max = lat.max();
+  snap.watchdog_stalls = tenant->slo_watchdog_stalls->value();
+  snap.doorbells_suppressed = tenant->slo_doorbells_suppressed->value();
   if (const metrics::Counter* c = reg.find_counter(ns + "faults/injected")) {
     snap.faults_injected = c->value();
   }
@@ -1143,28 +1111,31 @@ void MultiverseRuntime::destroy_group(ExecGroup* group) {
   }
 }
 
-void MultiverseRuntime::install_tenant_fault_resolvers() {
-  if (fault_resolvers_installed_) return;
-  fault_resolvers_installed_ = true;
-  // Doorbell faults resolve by channel id == group id: the owning tenant's
-  // plan governs, tenant-0 and unknown channels keep the runtime-wide plan.
-  hvm_->set_doorbell_fault_resolver(
-      [this](std::uint64_t chan_id) -> FaultPlan* {
-        const auto it = groups_by_id_.find(static_cast<int>(chan_id));
-        if (it == groups_by_id_.end()) return fault_plan_.get();
-        Tenant* tenant = it->second->tenant;
-        return tenant != nullptr ? tenant->fault_plan.get() : fault_plan_.get();
-      });
-  // Shootdown IPIs resolve by the initiating kernel thread's address-space
-  // root. A root no tenant owns (e.g. mid-destroy) injects nothing.
-  hvm_->machine().set_ipi_fault_resolver([this](unsigned) -> FaultPlan* {
-    naut::NautThread* nt = naut_->current_thread();
-    const std::uint64_t root = nt != nullptr ? nt->cr3 : 0;
-    if (root == 0) return fault_plan_.get();
-    const auto it = tenants_by_root_.find(root);
-    return it == tenants_by_root_.end() ? nullptr
-                                        : it->second->fault_plan.get();
-  });
+Status MultiverseRuntime::init_tenant_state(Tenant& tenant,
+                                            const std::string& fault_spec) {
+  if (!fault_spec.empty()) {
+    MV_ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::parse(fault_spec));
+    tenant.fault_plan = std::make_unique<FaultPlan>(std::move(plan));
+    tenant.fault_plan->bind_tenant(tenant.id);
+  }
+  // Seed the enum-indexed override dispatch table from the embedded config:
+  // statically-overridden families start active (symbol warmed lazily on
+  // first use); the rest start forwarding. With `option hybridize on` the
+  // tenant's governor owns the table from here on and may flip entries at
+  // runtime — promotions in one tenant never flip another tenant's calls.
+  for (std::size_t i = 0; i < kSysFamilyCount; ++i) {
+    const auto family = static_cast<SysFamily>(i);
+    OverrideEntry& entry = tenant.override_table.at(family);
+    entry.spec = config_.find(family_name(family));
+    entry.active = entry.spec != nullptr;
+    entry.kernel_vaddr = 0;
+  }
+  if (config_.options.hybridize.enabled) {
+    tenant.governor = std::make_unique<HybridizationGovernor>(
+        config_.options.hybridize, tenant.override_table, *naut_,
+        hvm_->machine(), tenant.fault_plan.get());
+  }
+  return Status::ok();
 }
 
 }  // namespace mv::multiverse

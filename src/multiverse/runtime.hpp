@@ -30,10 +30,11 @@ class MultiverseRuntime;
 
 // One tenant: an independent guest sharing the machine, the ROS, and the
 // service pool with every other tenant, but owning its execution groups,
-// event channels, fault plan, and hybridization state. Tenant 0 is implicit:
-// the process that ran startup() owns groups with tenant == nullptr and uses
-// the runtime-wide plan/table/governor, so a single-tenant run allocates
-// nothing here.
+// event channels, fault plan, and hybridization state. Tenant 0 is the
+// process that ran startup(): it runs on the boot root (hrt_root and ros_cr3
+// stay 0), takes its fault plan from `option fault`, keeps the bare
+// pre-tenant metric names, and lives as long as the runtime. Every other
+// tenant comes from tenant_create.
 struct Tenant {
   int id = 0;
   ros::Process* proc = nullptr;  // the tenant's ROS process
@@ -42,14 +43,16 @@ struct Tenant {
   Cycles boot_cycles = 0;        // measured cached-image boot cost
   // Per-tenant fault plan (null = no injection for this tenant's channels
   // and shootdowns) and hybridization state, so one tenant's fault schedule
-  // or runtime promotions never leak into another's.
+  // or runtime promotions never leak into another's. The override table is
+  // the single source of truth for the tenant's override dispatch; the
+  // governor (when enabled) promotes/demotes its entries in place.
   std::unique_ptr<FaultPlan> fault_plan;
-  std::unique_ptr<OverrideTable> override_table;
+  OverrideTable override_table;
   std::unique_ptr<HybridizationGovernor> governor;
   std::vector<int> group_ids;  // groups this tenant created
   // Cached SLO instruments in the tenant's metric namespace
   // (tenant/<id>/...), resolved once at tenant_create so the channel hot
-  // path bumps pointers, never resolves names.
+  // path bumps pointers, never resolves names. Null for tenant 0.
   metrics::Histogram* slo_latency = nullptr;          // slo/request_latency
   metrics::Counter* slo_watchdog_stalls = nullptr;    // watchdog/stalls
   metrics::Counter* slo_doorbells_suppressed = nullptr;  // doorbells_suppressed
@@ -83,13 +86,11 @@ struct TenantSloSnapshot {
 struct ExecGroup {
   int id = 0;
   MultiverseRuntime* runtime = nullptr;
-  // Owning tenant (nullptr = the implicit tenant 0) and the process that
-  // created the group. In dedicated-partner mode owner_proc equals the
-  // partner's process; in shared-daemon mode the partner is a pool worker
-  // whose process may belong to another tenant, so per-process state (vdso
-  // counters, signal table, utime) must go through owner_proc.
+  // Owning tenant: the tenant whose process created the group. In
+  // shared-daemon mode the partner is a pool worker whose process may belong
+  // to another tenant, so per-process state (vdso counters, signal table,
+  // utime) must go through tenant->proc.
   Tenant* tenant = nullptr;
-  ros::Process* owner_proc = nullptr;
   // The one-shot HVM invocation trampoline registered for this group's
   // launch (unbound again when the group is destroyed).
   std::uint64_t invocation_id = 0;
@@ -211,15 +212,16 @@ class MultiverseRuntime {
   // Tear the tenant down: every group it owns must have finished. Destroys
   // its groups (channels, ring pages, shard membership, trampolines, load
   // accounting), drops its address-space root, and detaches its fault plan —
-  // a destroy-then-recreate must leave no residue anywhere.
+  // a destroy-then-recreate must leave no residue anywhere. Tenant 0 lives
+  // as long as the runtime and is refused.
   Status tenant_destroy(int tenant_id);
   [[nodiscard]] Tenant* find_tenant(int tenant_id) {
     const auto it = tenants_.find(tenant_id);
     return it == tenants_.end() ? nullptr : it->second.get();
   }
-  // Live tenants, the implicit tenant 0 included.
+  // Live tenants, tenant 0 included.
   [[nodiscard]] std::size_t tenant_count() const noexcept {
-    return 1 + tenants_.size();
+    return tenants_.size();
   }
   // Cached-boot cost of every tenant_create this run, in creation order
   // (survives the tenants' destruction — the density bench reads it last).
@@ -249,7 +251,6 @@ class MultiverseRuntime {
   [[nodiscard]] naut::Nautilus& naut() noexcept { return *naut_; }
   [[nodiscard]] ros::LinuxSim& linux() noexcept { return *linux_; }
   [[nodiscard]] vmm::Hvm& hvm() noexcept { return *hvm_; }
-  [[nodiscard]] ros::Process* process() noexcept { return process_; }
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] std::uint64_t groups_created() const noexcept {
     return next_group_id_ - 1;
@@ -274,44 +275,37 @@ class MultiverseRuntime {
     const auto it = hrt_core_load_.find(core);
     return it == hrt_core_load_.end() ? 0 : it->second;
   }
-  // The deterministic fault plan built from `option fault` (null when the
-  // config carries none).
-  [[nodiscard]] FaultPlan* fault_plan() noexcept { return fault_plan_.get(); }
-  // The adaptive-hybridization governor (null unless `option hybridize on`).
-  [[nodiscard]] HybridizationGovernor* governor() noexcept {
-    return governor_.get();
+  // Tenant 0's state, for benches and tests that inspect the startup
+  // process's run: the fault plan built from `option fault` (null when the
+  // config carries none), the adaptive-hybridization governor (null unless
+  // `option hybridize on`), and the override dispatch table.
+  [[nodiscard]] FaultPlan* fault_plan() { return host().fault_plan.get(); }
+  [[nodiscard]] HybridizationGovernor* governor() {
+    return host().governor.get();
   }
-  // The governor that owns `tenant`'s override table (the runtime-wide one
-  // for the implicit tenant 0).
-  [[nodiscard]] HybridizationGovernor* governor_for(Tenant* tenant) noexcept {
-    return tenant != nullptr ? tenant->governor.get() : governor_.get();
+  [[nodiscard]] const OverrideTable& override_table() {
+    return host().override_table;
   }
-  // Single source of truth for override dispatch: the active entry for `nr`,
-  // or nullptr when the call must forward. Consulted by both HrtCtx::syscall
-  // and syscall_batch, so a family can never drift between the two paths.
-  // Tenants dispatch through their own table so a governor promotion in one
-  // tenant never flips another tenant's calls.
-  [[nodiscard]] OverrideEntry* find_override(ros::SysNr nr,
-                                             Tenant* tenant = nullptr) noexcept {
-    OverrideTable& table = tenant != nullptr && tenant->override_table
-                               ? *tenant->override_table
-                               : override_table_;
-    OverrideEntry* entry = table.entry(nr);
+  // Single source of truth for override dispatch: the active entry for `nr`
+  // in `tenant`'s table, or nullptr when the call must forward. Consulted by
+  // both HrtCtx::syscall and syscall_batch, so a family can never drift
+  // between the two paths, and a governor promotion in one tenant never
+  // flips another tenant's calls.
+  [[nodiscard]] static OverrideEntry* find_override(ros::SysNr nr,
+                                                    Tenant& tenant) noexcept {
+    OverrideEntry* entry = tenant.override_table.entry(nr);
     return entry != nullptr && entry->active ? entry : nullptr;
-  }
-  [[nodiscard]] const OverrideTable& override_table() const noexcept {
-    return override_table_;
   }
 
   // Kernel-mode memory-op overrides (the incremental->accelerator porting
   // path of Sec 5's conclusion: mmap/mprotect "hundreds of times faster
   // within the kernel").
-  // `proc` selects whose address space the op edits; nullptr keeps the
-  // startup process (the single-tenant behavior).
+  // `proc` is the calling group's tenant process, whose address space the
+  // op edits.
   Result<std::uint64_t> kernel_mode_memop(ros::SysNr nr,
                                           std::array<std::uint64_t, 6> args,
                                           unsigned hrt_core,
-                                          ros::Process* proc = nullptr);
+                                          ros::Process& proc);
 
  private:
   friend class HrtCtx;
@@ -337,9 +331,12 @@ class MultiverseRuntime {
   // invocation trampoline, and the id indexes. Destroying the group frees
   // its channel (ring page, providers, watchdog state) with it.
   void destroy_group(ExecGroup* group);
-  // First tenant_create installs the per-tenant fault-plan resolvers on the
-  // HVM (by doorbell channel) and the machine (by shootdown initiator).
-  void install_tenant_fault_resolvers();
+  // Per-tenant state shared by tenant 0 and created tenants: the fault plan
+  // parsed from `fault_spec` (empty = fault-free), the override table seeded
+  // from the embedded config, and the governor when hybridization is on.
+  Status init_tenant_state(Tenant& tenant, const std::string& fault_spec);
+  // Tenant 0 (the startup process); exists from startup() on.
+  [[nodiscard]] Tenant& host() { return *tenants_.at(0); }
   void partner_body(ExecGroup* group, ros::SysIface& pctx);
   // Shared-daemon service-pool internals.
   Status ensure_service_pool(ros::Thread& caller);
@@ -369,12 +366,6 @@ class MultiverseRuntime {
   vmm::Hvm* hvm_;
   naut::Nautilus* naut_;
   OverrideConfig config_;
-  std::unique_ptr<FaultPlan> fault_plan_;
-  // Runtime-mutable override dispatch table, seeded from config_ at startup;
-  // the governor (when enabled) promotes/demotes entries in place.
-  OverrideTable override_table_;
-  std::unique_ptr<HybridizationGovernor> governor_;
-  ros::Process* process_ = nullptr;
   bool started_ = false;
   int next_group_id_ = 1;
   std::vector<std::unique_ptr<ExecGroup>> groups_;
@@ -392,13 +383,12 @@ class MultiverseRuntime {
   // spawns lazily, so kernel-side thread counts lag placement decisions).
   std::size_t next_hrt_core_rr_ = 0;
   std::map<unsigned, int> hrt_core_load_;
-  // Multi-tenant state (all empty at tenants=1).
+  // Tenants by id, process, and HRT root (tenant 0 from startup on).
   std::map<int, std::unique_ptr<Tenant>> tenants_;
   std::map<ros::Process*, Tenant*> tenants_by_proc_;
   std::map<std::uint64_t, Tenant*> tenants_by_root_;
   std::vector<Cycles> tenant_boot_history_;
   std::vector<TenantSloSnapshot> tenant_slo_history_;
-  bool fault_resolvers_installed_ = false;
 };
 
 }  // namespace mv::multiverse

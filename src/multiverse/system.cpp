@@ -101,55 +101,16 @@ Result<ProgramResult> HybridSystem::run(
 
 Result<ProgramResult> HybridSystem::run_hybrid(
     const std::string& name, std::function<int(ros::SysIface&)> guest_main) {
-  const std::uint64_t start_us = linux_.now_us();
-  MultiverseRuntime* rt = &runtime_;
-  ros::LinuxSim* kernel = &linux_;
-  const std::vector<std::uint8_t>* fat = &fat_binary_;
-
-  MV_ASSIGN_OR_RETURN(
-      ros::Process* const proc,
-      linux_.spawn(name, [rt, kernel, fat, guest_main = std::move(guest_main)](
-                             ros::SysIface& iface) -> int {
-        // ---- toolchain-inserted hooks run before the program's main ----
-        ros::Thread* self = kernel->current_thread();
-        assert(self != nullptr);
-        const Status up = rt->startup(*self, *fat);
-        if (!up.is_ok()) {
-          MV_ERROR("multiverse", "startup failed: " + up.to_string());
-          return 127;
-        }
-        // ---- incremental model: main() executes in the HRT ----
-        int exit_code = 0;
-        (void)iface;
-        const Status st = rt->hrt_invoke_func(
-            *self, [&exit_code, &guest_main](ros::SysIface& hrt_iface) {
-              exit_code = guest_main(hrt_iface);
-            });
-        if (!st.is_ok()) {
-          MV_ERROR("multiverse", "hrt_invoke_func failed: " + st.to_string());
-          return 126;
-        }
-        // ---- exit hook: HRT shutdown ----
-        (void)rt->shutdown();
-        return exit_code;
-      }));
-  MV_RETURN_IF_ERROR(linux_.run_all());
-  return collect(*proc, start_us, /*hybrid=*/true);
+  std::vector<TenantProgram> programs;
+  programs.push_back({name, std::move(guest_main), {}});
+  MV_ASSIGN_OR_RETURN(TenantRunResult run, run_tenants(std::move(programs)));
+  return std::move(run.programs.front());
 }
 
 Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
     std::vector<TenantProgram> programs) {
   if (programs.empty()) {
     return err(Err::kInval, "run_tenants with no programs");
-  }
-  if (programs.size() == 1) {
-    // Single tenant: exactly the classic path, bitwise identical to it.
-    MV_ASSIGN_OR_RETURN(
-        ProgramResult result,
-        run_hybrid(programs[0].name, std::move(programs[0].guest_main)));
-    TenantRunResult out;
-    out.programs.push_back(std::move(result));
-    return out;
   }
   const std::uint64_t start_us = linux_.now_us();
   MultiverseRuntime* rt = &runtime_;
@@ -160,10 +121,11 @@ Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
   const std::size_t tenants = programs.size() - 1;
 
   std::vector<ros::Process*> procs(programs.size(), nullptr);
-  // Program 0 is the implicit tenant 0: it boots the stack, warms the
-  // service pool into its own process (pool workers must not live in — and
-  // die with — a transient tenant), serves its workload, and keeps the
-  // system up until every created tenant has finished.
+  // Program 0 becomes tenant 0: the toolchain-inserted hooks boot the stack
+  // before its main, warm the service pool into its own process (pool
+  // workers must not live in — and die with — a transient tenant), run main
+  // in the HRT (incremental model), and keep the system up until every
+  // created tenant has finished before the exit hook shuts the HRT down.
   MV_ASSIGN_OR_RETURN(
       procs[0],
       linux_.spawn(

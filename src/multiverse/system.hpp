@@ -85,6 +85,7 @@ class HybridSystem {
 
   // Run the same program hybridized (incremental model): the toolchain-built
   // fat binary's init hooks run before main, then main executes in the HRT.
+  // A one-program run_tenants.
   Result<ProgramResult> run_hybrid(
       const std::string& name,
       std::function<int(ros::SysIface&)> guest_main);
@@ -94,8 +95,8 @@ class HybridSystem {
     std::string name;
     std::function<int(ros::SysIface&)> guest_main;  // runs in the tenant's HRT
     // Per-tenant deterministic fault spec (empty = fault-free tenant); only
-    // honored for created tenants — program 0 (tenant 0) uses the embedded
-    // config's runtime-wide plan.
+    // honored for created tenants — program 0 (tenant 0) takes its plan from
+    // the embedded config's `option fault`.
     std::string fault_spec;
   };
   struct TenantRunResult {
@@ -109,12 +110,11 @@ class HybridSystem {
   };
 
   // Host every program as its own tenant in ONE system: program 0 boots the
-  // stack (the implicit tenant 0) and stays up until the others finish; each
+  // stack (becoming tenant 0) and stays up until the others finish; each
   // later program waits for startup, tenant_creates itself (cached-image
   // boot), runs hybridized, and destroys its tenant on the way out. The
   // config must allow the head count (`option tenants N` via
-  // extra_override_config). A single program delegates to run_hybrid and is
-  // bitwise identical to it.
+  // extra_override_config). run_hybrid is the one-program case.
   Result<TenantRunResult> run_tenants(std::vector<TenantProgram> programs);
 
   // Machine-readable per-tenant metric export: JSON and Prometheus-style

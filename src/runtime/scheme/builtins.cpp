@@ -599,7 +599,10 @@ void Engine::register_builtins() {
   define_builtin("error",
                  [](Engine& e, std::vector<Value>& args) -> Result<Value> {
     std::string msg = "error:";
-    for (const Value& v : args) msg += " " + e.to_display(v);
+    for (const Value& v : args) {
+      msg += ' ';
+      msg += e.to_display(v);
+    }
     return err(Err::kState, msg);
   });
 

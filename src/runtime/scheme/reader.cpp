@@ -226,10 +226,12 @@ Result<Value> Reader::parse_list(const std::string& src, std::size_t* pos,
 
 Result<Value> Reader::parse(const std::string& src, std::size_t* pos,
                             std::size_t* line) {
-  // Each nesting level costs one host C++ frame (parse -> parse_list ->
-  // parse); cap it so pathological input errors instead of overflowing the
-  // host stack.
-  constexpr int kMaxDepth = 2048;
+  // Each nesting level costs host C++ frames (parse -> parse_list -> parse),
+  // ~12 KiB a level in an ASan build, which overflows a 16 MiB sched fiber
+  // at ~1300 levels; the evaluator's recursion over a parsed form overflows
+  // there at ~650. Cap nesting well below both so pathological input errors
+  // instead of overflowing the host stack in any build.
+  constexpr int kMaxDepth = 256;
   if (depth_ >= kMaxDepth) {
     return err(Err::kParse, "expression nesting too deep");
   }

@@ -79,7 +79,7 @@ class FlightRecorder {
 
   // Record one event on `core`'s ring. Timestamped with the Tracer's bound
   // simulated clock (0 when none is bound); charges no simulated cycles.
-  // `tenant` is the owning tenant id (0 = the implicit host tenant); dumps
+  // `tenant` is the owning tenant id (0 = the host tenant); dumps
   // print it only when non-zero, so single-tenant output is unchanged.
   void record(unsigned core, FrKind kind, std::uint64_t span = 0,
               std::uint64_t a = 0, std::uint64_t b = 0, const char* tag = "",

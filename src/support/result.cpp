@@ -12,7 +12,7 @@ void check_failed(const char* expr, const char* file, int line,
                   const std::string& detail) {
   // Stamp the abort with where the simulation actually was: the core the
   // scheduler says is executing, that core's simulated cycle count, and the
-  // tenant whose request was in flight (0 = the implicit host tenant).
+  // tenant whose request was in flight (0 = the host tenant).
   FlightRecorder& recorder = FlightRecorder::instance();
   const unsigned core = recorder.current_core();
   const std::uint64_t cycle = Tracer::instance().now(core);

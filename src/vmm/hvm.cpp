@@ -270,11 +270,10 @@ Result<std::uint64_t> Hvm::hypercall(unsigned vcore, Hypercall nr,
       count_injection(config_.ros_cores.front(), "inject:doorbell");
       MV_FR_EVENT(config_.ros_cores.front(), FrKind::kDoorbell, 0, a0, a1,
                   "vmm");
-      // Multi-tenant runs resolve the governing plan per channel so one
-      // tenant's fault schedule never perturbs another tenant's doorbells;
-      // without a resolver the process-wide plan applies to every channel.
-      FaultPlan* plan = doorbell_fault_resolver_ ? doorbell_fault_resolver_(a0)
-                                                 : fault_plan_;
+      // The governing plan is resolved per channel so one tenant's fault
+      // schedule never perturbs another tenant's doorbells.
+      FaultPlan* plan =
+          doorbell_fault_resolver_ ? doorbell_fault_resolver_(a0) : nullptr;
       if (plan != nullptr &&
           plan->should_inject(FaultClass::kDropDoorbell, core.cycles())) {
         // The doorbell event vanished inside the VMM: the hypercall itself

@@ -280,6 +280,50 @@ TEST(ChannelRecoveryTest, PartnerDeathFailsInFlightAndFutureRequests) {
   EXPECT_EQ(rig.chan.requests_served(), 0u);
 }
 
+TEST(ChannelRecoveryTest, RetryCapFailsRequestWithIoInsteadOfAborting) {
+  // The server takes every wakeup but never serves. Each request's deadline
+  // expires until the retry cap runs out; that request must then fail with
+  // kIo in place — not abort the simulation — and the channel must take the
+  // next request, which fails the same way.
+  ChannelRig rig;
+  FaultPlan plan = make_plan(FaultClass::kDropDoorbell, 1.0);
+  rig.chan.set_fault_plan(&plan);
+  ASSERT_TRUE(rig.chan.init().is_ok());
+  // The partner binds, then only yields until the requester is done; every
+  // wakeup aimed at it lands in a counter instead.
+  bool done = false;
+  int wakes = 0;
+  rig.chan.set_wake_server([&wakes] { ++wakes; });
+  ASSERT_TRUE(rig.kernel
+                  .spawn("mute-partner",
+                         [&](SysIface&) {
+                           rig.chan.bind_partner(rig.kernel.current_thread());
+                           while (!done) rig.sched.yield();
+                           return 0;
+                         })
+                  .is_ok());
+
+  Result<std::uint64_t> first = err(Err::kState, "never ran");
+  Result<std::uint64_t> second = err(Err::kState, "never ran");
+  rig.sched.spawn(
+      1,
+      [&] {
+        first = rig.chan.forward_syscall(SysNr::kGetpid, {});
+        second = rig.chan.forward_syscall(SysNr::kGetpid, {});
+        rig.chan.mark_exit();
+        done = true;
+      },
+      "req");
+  ASSERT_TRUE(rig.sched.run().is_ok()) << "an unserved request hung";
+  EXPECT_EQ(first.code(), Err::kIo);
+  EXPECT_EQ(second.code(), Err::kIo);
+  EXPECT_EQ(rig.chan.retries(), 16u) << "8 retries per request, then kIo";
+  EXPECT_GT(wakes, 0);
+  EXPECT_EQ(rig.chan.requests_served(), 0u);
+  EXPECT_EQ(rig.chan.protocol_errors(), 0u);
+  EXPECT_EQ(plan.recovered(FaultClass::kDropDoorbell), 0u);
+}
+
 // --- randomized fault-schedule property --------------------------------------
 //
 // Whole hybrid programs under seed-derived fault schedules: the run must

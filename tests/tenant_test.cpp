@@ -37,11 +37,22 @@ struct RunSig {
   std::uint64_t final_cycles = 0;
 };
 
-RunSig boot_and_run() {
+// The twin-run system: dedicated partners, or the shared-daemon pool with
+// two service workers (where warming the pool before the first group is
+// not a no-op).
+SystemConfig twin_config(GroupMode mode) {
   SystemConfig cfg;
   cfg.ros_cores = {0};
   cfg.hrt_cores = {1, 2};
-  HybridSystem sys(cfg);
+  cfg.group_mode = mode;
+  if (mode == GroupMode::kSharedDaemon) {
+    cfg.extra_override_config = "option service_workers 2\n";
+  }
+  return cfg;
+}
+
+RunSig boot_and_run(GroupMode mode = GroupMode::kDedicatedPartner) {
+  HybridSystem sys(twin_config(mode));
   RunSig sig;
   auto r = sys.run_hybrid("twin", checksum_workload);
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
@@ -76,28 +87,30 @@ TEST(TenantTwinRunTest, SecondBootBitwiseIdenticalToFreshProcess) {
 }
 
 TEST(TenantRunTest, SingleProgramDelegatesToRunHybridBitwise) {
-  // tenants=1 identity: run_tenants with one program must be the classic
-  // run_hybrid path, not a degenerate multi-tenant schedule.
-  const RunSig classic = boot_and_run();
-  SystemConfig cfg;
-  cfg.ros_cores = {0};
-  cfg.hrt_cores = {1, 2};
-  HybridSystem sys(cfg);
-  auto r = sys.run_tenants({{"twin", checksum_workload, ""}});
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  ASSERT_EQ(r->programs.size(), 1u);
-  EXPECT_TRUE(r->boot_cycles.empty());
-  const std::string metrics_text = metrics::Registry::instance().to_text();
-  std::uint64_t final_cycles = 0;
-  for (unsigned c = 0; c < sys.machine().core_count(); ++c) {
-    final_cycles += sys.machine().core(c).cycles();
+  // tenants=1 identity: run_tenants with one program is the run_hybrid path,
+  // not a degenerate multi-tenant schedule — in both group modes.
+  for (const GroupMode mode :
+       {GroupMode::kDedicatedPartner, GroupMode::kSharedDaemon}) {
+    SCOPED_TRACE(mode == GroupMode::kSharedDaemon ? "shared daemon"
+                                                  : "dedicated partner");
+    const RunSig classic = boot_and_run(mode);
+    HybridSystem sys(twin_config(mode));
+    auto r = sys.run_tenants({{"twin", checksum_workload, ""}});
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    ASSERT_EQ(r->programs.size(), 1u);
+    EXPECT_TRUE(r->boot_cycles.empty());
+    const std::string metrics_text = metrics::Registry::instance().to_text();
+    std::uint64_t final_cycles = 0;
+    for (unsigned c = 0; c < sys.machine().core_count(); ++c) {
+      final_cycles += sys.machine().core(c).cycles();
+    }
+    EXPECT_EQ(r->programs[0].exit_code, classic.result.exit_code);
+    EXPECT_EQ(r->programs[0].total_syscalls, classic.result.total_syscalls);
+    EXPECT_EQ(r->programs[0].syscall_histogram,
+              classic.result.syscall_histogram);
+    EXPECT_EQ(final_cycles, classic.final_cycles);
+    EXPECT_EQ(metrics_text, classic.metrics_text);
   }
-  EXPECT_EQ(r->programs[0].exit_code, classic.result.exit_code);
-  EXPECT_EQ(r->programs[0].total_syscalls, classic.result.total_syscalls);
-  EXPECT_EQ(r->programs[0].syscall_histogram,
-            classic.result.syscall_histogram);
-  EXPECT_EQ(final_cycles, classic.final_cycles);
-  EXPECT_EQ(metrics_text, classic.metrics_text);
 }
 
 // --- tenant cap and ownership rules ------------------------------------------
@@ -164,8 +177,98 @@ TEST(TenantTest, OptionTenantsCapAndOwnershipEnforced) {
   EXPECT_EQ(self_create.code(), Err::kInval);
   EXPECT_EQ(dup_create.code(), Err::kExist);
   EXPECT_EQ(over_cap.code(), Err::kAgain)
-      << "cap of 2 (implicit tenant 0 + one created) was not enforced";
+      << "cap of 2 (tenant 0 + one created) was not enforced";
   EXPECT_EQ(rt.tenant_count(), 1u);
+}
+
+// --- tenant 0 is an ordinary tenant ------------------------------------------
+
+TEST(TenantTest, TenantZeroIsTheStartupProcessAndCannotBeDestroyed) {
+  SystemConfig cfg;
+  cfg.ros_cores = {0};
+  cfg.hrt_cores = {1};
+  HybridSystem sys(cfg);
+  ros::LinuxSim& kernel = sys.linux();
+  MultiverseRuntime& rt = sys.runtime();
+  const std::vector<std::uint8_t>* fat = &sys.fat_binary();
+
+  const Tenant* tenant0 = nullptr;
+  ros::Process* startup_proc = nullptr;
+  Status destroy0 = Status::ok();
+  Status served = err(Err::kAgain, "never ran");
+  int exit_code = -1;
+  ASSERT_TRUE(kernel
+                  .spawn("t0",
+                         [&](SysIface&) -> int {
+                           ros::Thread* self = kernel.current_thread();
+                           if (!rt.startup(*self, *fat).is_ok()) return 127;
+                           startup_proc = self->proc;
+                           tenant0 = rt.find_tenant(0);
+                           destroy0 = rt.tenant_destroy(0);
+                           served = rt.hrt_invoke_func(*self, [&](SysIface& s) {
+                             exit_code = checksum_workload(s);
+                           });
+                           (void)rt.shutdown();
+                           return 0;
+                         })
+                  .is_ok());
+  ASSERT_TRUE(kernel.run_all().is_ok());
+
+  ASSERT_NE(tenant0, nullptr);
+  EXPECT_EQ(tenant0->id, 0);
+  EXPECT_EQ(tenant0->proc, startup_proc);
+  EXPECT_EQ(tenant0->hrt_root, 0u) << "tenant 0 runs on the boot root";
+  EXPECT_EQ(destroy0.code(), Err::kPerm);
+  // Still registered, still serving after the refused destroy.
+  EXPECT_EQ(rt.find_tenant(0), tenant0);
+  EXPECT_EQ(rt.tenant_count(), 1u);
+  EXPECT_TRUE(served.is_ok()) << served.to_string();
+  EXPECT_GE(exit_code, 0);
+}
+
+TEST(TenantTest, GroupFromNonTenantProcessRefused) {
+  // Every group belongs to a tenant: a process that is neither the startup
+  // process nor a created tenant cannot open an execution group.
+  SystemConfig cfg;
+  cfg.ros_cores = {0};
+  cfg.hrt_cores = {1};
+  HybridSystem sys(cfg);
+  ros::LinuxSim& kernel = sys.linux();
+  MultiverseRuntime& rt = sys.runtime();
+  const std::vector<std::uint8_t>* fat = &sys.fat_binary();
+
+  bool stranger_done = false;
+  Status invoked = Status::ok();
+  Status created = Status::ok();
+  ASSERT_TRUE(kernel
+                  .spawn("t0",
+                         [&](SysIface&) -> int {
+                           ros::Thread* self = kernel.current_thread();
+                           if (!rt.startup(*self, *fat).is_ok()) return 127;
+                           while (!stranger_done) kernel.sched().yield();
+                           (void)rt.shutdown();
+                           return 0;
+                         })
+                  .is_ok());
+  ASSERT_TRUE(kernel
+                  .spawn("stranger",
+                         [&](SysIface&) -> int {
+                           ros::Thread* self = kernel.current_thread();
+                           while (!rt.started()) kernel.sched().yield();
+                           invoked =
+                               rt.hrt_invoke_func(*self, [](SysIface&) {});
+                           created =
+                               rt.hrt_thread_create(*self, [](SysIface&) {})
+                                   .status();
+                           stranger_done = true;
+                           return 0;
+                         })
+                  .is_ok());
+  ASSERT_TRUE(kernel.run_all().is_ok());
+
+  EXPECT_EQ(invoked.code(), Err::kPerm);
+  EXPECT_EQ(created.code(), Err::kPerm);
+  EXPECT_EQ(rt.groups_created(), 0u) << "a refused caller consumed a group id";
 }
 
 // --- teardown residue: destroy then recreate ---------------------------------

@@ -33,19 +33,12 @@ Result<HybridRun> run_bt(const std::string& overrides, int n) {
   SystemConfig cfg;
   cfg.extra_override_config = overrides;
   HybridSystem system(cfg);
-  MV_RETURN_IF_ERROR(scheme::install_boot_files(system.linux().fs()));
-  const std::string src =
-      scheme::benchmark_source(scheme::Bench::kBinaryTrees, n);
   HybridRun out;
   MV_ASSIGN_OR_RETURN(
       out.program,
-      system.run_hybrid("binary-tree-2", [src](ros::SysIface& sys) {
-        scheme::Engine engine(sys, racket_profile());
-        if (!engine.init().is_ok()) return 70;
-        auto r = engine.eval_string(src);
-        (void)engine.flush();
-        return r.is_ok() ? 0 : 1;
-      }));
+      run_vessel(system, Mode::kMultiverse, "binary-tree-2",
+                 VesselProgram(scheme::benchmark_source(
+                     scheme::Bench::kBinaryTrees, n))));
   if (HybridizationGovernor* gov = system.runtime().governor()) {
     out.promotions = gov->promotions();
     out.demotions = gov->demotions();
@@ -180,18 +173,14 @@ int main(int argc, char** argv) {
 
   std::printf("\nadaptive/static steady-state mmap cycles ratio: %.3f "
               "(want within [0.90, 1.10])\n", ratio);
-  std::printf("crossover (started forwarded, promoted mid-run):   %s\n",
-              crossed ? "PASS" : "FAIL");
-  std::printf("converged to static-port steady state (within 10%%): %s\n",
-              converged ? "PASS" : "FAIL");
-  std::printf("byte-identical program output in all modes:        %s\n",
-              identical ? "PASS" : "FAIL");
-  std::printf("injected override failures demoted + recovered:    %s\n",
-              fault_recovered ? "PASS" : "FAIL");
-  std::printf("adaptive faster than fully forwarded:              %s\n",
-              faster ? "PASS" : "FAIL");
-
-  const bool ok =
-      crossed && converged && identical && fault_recovered && faster;
-  return ok ? 0 : 1;
+  Checks checks;
+  checks.align = 50;
+  checks.check("crossover (started forwarded, promoted mid-run)", crossed);
+  checks.check("converged to static-port steady state (within 10%)",
+               converged);
+  checks.check("byte-identical program output in all modes", identical);
+  checks.check("injected override failures demoted + recovered",
+               fault_recovered);
+  checks.check("adaptive faster than fully forwarded", faster);
+  return checks.exit_code();
 }

@@ -80,15 +80,8 @@ CellResult run_cell(const std::string& fault_spec, bool sync_channel,
     cell.injected = plan->injected_total();
     cell.recovered = plan->recovered_total();
   }
-  for (const auto& [name, counter] :
-       metrics::Registry::instance().counters_with_prefix("channel/")) {
-    if (name.find("/retries") != std::string::npos) {
-      cell.retries += counter->value();
-    }
-    if (name.find("/degradations") != std::string::npos) {
-      cell.degradations += counter->value();
-    }
-  }
+  cell.retries = channel_counter_sum("/retries");
+  cell.degradations = channel_counter_sum("/degradations");
   return cell;
 }
 
@@ -201,15 +194,15 @@ int main() {
     inert_ok = plain.machine().core(c).cycles() ==
                zeroed.machine().core(c).cycles();
   }
-  std::printf("\nzero-probability plan bitwise-inert (per-core cycles): %s\n",
-              inert_ok ? "PASS" : "FAIL");
-
-  const bool injected_something = total_injected > 0;
-  std::printf("fault matrix (%d classes x %d seeds, %llu faults injected): "
-              "%s\n",
-              static_cast<int>(sizeof(kClasses) / sizeof(kClasses[0])),
-              static_cast<int>(sizeof(kSeeds) / sizeof(kSeeds[0])),
-              static_cast<unsigned long long>(total_injected),
-              all_ok && injected_something ? "PASS" : "FAIL");
-  return all_ok && injected_something && inert_ok ? 0 : 1;
+  std::printf("\n");
+  Checks checks;
+  checks.check("zero-probability plan bitwise-inert (per-core cycles)",
+               inert_ok);
+  checks.check(strfmt("fault matrix (%d classes x %d seeds, %llu faults "
+                      "injected)",
+                      static_cast<int>(std::size(kClasses)),
+                      static_cast<int>(std::size(kSeeds)),
+                      static_cast<unsigned long long>(total_injected)),
+               all_ok && total_injected > 0);
+  return checks.exit_code();
 }

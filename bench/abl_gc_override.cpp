@@ -18,17 +18,11 @@ Result<ProgramResult> run_bt(const std::string& overrides) {
   SystemConfig cfg;
   cfg.extra_override_config = overrides;
   HybridSystem system(cfg);
-  MV_RETURN_IF_ERROR(scheme::install_boot_files(system.linux().fs()));
-  const std::string src = scheme::benchmark_source(
-      scheme::Bench::kBinaryTrees,
-      scheme::benchmark_bench_size(scheme::Bench::kBinaryTrees));
-  return system.run_hybrid("binary-tree-2", [src](ros::SysIface& sys) {
-    scheme::Engine engine(sys, racket_profile());
-    if (!engine.init().is_ok()) return 70;
-    auto r = engine.eval_string(src);
-    (void)engine.flush();
-    return r.is_ok() ? 0 : 1;
-  });
+  return run_vessel(
+      system, Mode::kMultiverse, "binary-tree-2",
+      VesselProgram(scheme::benchmark_source(
+          scheme::Bench::kBinaryTrees,
+          scheme::benchmark_bench_size(scheme::Bench::kBinaryTrees))));
 }
 
 }  // namespace
@@ -49,10 +43,6 @@ int main() {
                 ported.status().to_string().c_str());
     return 1;
   }
-  const auto count_of = [](const ProgramResult& r, const char* name) {
-    const auto it = r.syscall_histogram.find(name);
-    return it == r.syscall_histogram.end() ? std::uint64_t{0} : it->second;
-  };
 
   Table table({"Metric", "Incremental (all forwarded)",
                "GC memops in AeroKernel"});
@@ -61,14 +51,11 @@ int main() {
   table.add_row({"forwarded syscalls",
                  std::to_string(base->forwarded_syscalls),
                  std::to_string(ported->forwarded_syscalls)});
-  table.add_row({"ROS-visible mmap", std::to_string(count_of(*base, "mmap")),
-                 std::to_string(count_of(*ported, "mmap"))});
-  table.add_row({"ROS-visible munmap",
-                 std::to_string(count_of(*base, "munmap")),
-                 std::to_string(count_of(*ported, "munmap"))});
-  table.add_row({"ROS-visible mprotect",
-                 std::to_string(count_of(*base, "mprotect")),
-                 std::to_string(count_of(*ported, "mprotect"))});
+  for (const char* call : {"mmap", "munmap", "mprotect"}) {
+    table.add_row({strfmt("ROS-visible %s", call),
+                   std::to_string(syscall_count(*base, call)),
+                   std::to_string(syscall_count(*ported, call))});
+  }
   table.add_row({"output identical",
                  base->stdout_text == ported->stdout_text ? "yes" : "NO",
                  ""});
@@ -77,11 +64,12 @@ int main() {
   std::printf("\nspeedup from porting the GC's memory management into the "
               "kernel: %.2fx\n",
               base->elapsed_s / ported->elapsed_s);
-  const bool ok = ported->elapsed_s < base->elapsed_s &&
-                  count_of(*ported, "mmap") < count_of(*base, "mmap") / 4 &&
-                  base->stdout_text == ported->stdout_text;
-  std::printf("shape check (faster, mmap traffic moved out of the ROS, "
-              "behaviour unchanged): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  Checks checks;
+  checks.check("shape check (faster, mmap traffic moved out of the ROS, "
+               "behaviour unchanged)",
+               ported->elapsed_s < base->elapsed_s &&
+                   syscall_count(*ported, "mmap") <
+                       syscall_count(*base, "mmap") / 4 &&
+                   base->stdout_text == ported->stdout_text);
+  return checks.exit_code();
 }

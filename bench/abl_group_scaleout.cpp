@@ -10,14 +10,15 @@
 // The workload forwards nanosleep, whose service cost is charged on the
 // serving ROS core — the single daemon serializes it on one core while the
 // pool shards it across all ROS cores, which is exactly the gap this table
-// quantifies.
+// quantifies. The dedicated-vs-daemon rows are also the paper's Sec 7
+// "radically different execution groups" ablation: the daemon holds the
+// ROS-side footprint at one thread for any group count.
 //
 // Usage: abl_group_scaleout [max_groups]   (default 64; CI smoke passes 8)
 
 #include "common.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 namespace mvbench {
@@ -41,13 +42,11 @@ const char* structure_name(Structure s) {
 }
 
 struct Outcome {
-  double elapsed_ms = 0;
+  GroupRun run;
   double req_per_ms = 0;
   double p99_cycles = 0;  // worst channel's p99 round trip
-  std::uint64_t ros_clones = 0;
   std::vector<std::uint64_t> per_core;  // groups placed per HRT core
   double max_core_share = 0;
-  bool correct = false;
 };
 
 Outcome run_structure(Structure s, int groups) {
@@ -64,39 +63,14 @@ Outcome run_structure(Structure s, int groups) {
   begin_measurement();
   HybridSystem system(cfg);
   Outcome out;
-  auto r = system.run_accelerator(
-      "scaleout",
-      [&](ros::SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
-        static int completed;
-        completed = 0;
-        const std::uint64_t start_us = system.linux().now_us();
-        std::vector<int> ids;
-        for (int g = 0; g < groups; ++g) {
-          auto id = rt.hrt_thread_create(self, [](ros::SysIface& sys) {
-            for (int i = 0; i < kCallsPerGroup; ++i) {
-              (void)sys.syscall(ros::SysNr::kNanosleep,
-                                {kServiceUs, 0, 0, 0, 0, 0});
-            }
-            ++completed;
-          });
-          if (!id) return 1;
-          ids.push_back(*id);
-        }
-        for (const int id : ids) {
-          if (!rt.hrt_thread_join(self, id).is_ok()) return 1;
-        }
-        out.elapsed_ms =
-            static_cast<double>(system.linux().now_us() - start_us) / 1e3;
-        out.correct = completed == groups;
-        return 0;
-      });
-  if (!r) return out;
-  out.correct &= r->exit_code == 0;
-  const auto it = r->syscall_histogram.find("clone");
-  out.ros_clones = it == r->syscall_histogram.end() ? 0 : it->second;
-  out.req_per_ms = out.elapsed_ms > 0
+  out.run = run_groups(system, "scaleout", groups, [](ros::SysIface& sys) {
+    for (int i = 0; i < kCallsPerGroup; ++i) {
+      (void)sys.syscall(ros::SysNr::kNanosleep, {kServiceUs, 0, 0, 0, 0, 0});
+    }
+  });
+  out.req_per_ms = out.run.elapsed_ms > 0
                        ? static_cast<double>(groups) * kCallsPerGroup /
-                             out.elapsed_ms
+                             out.run.elapsed_ms
                        : 0;
   for (const auto& [name, hist] :
        metrics::Registry::instance().histograms_with_prefix("channel/")) {
@@ -153,45 +127,46 @@ int main(int argc, char** argv) {
     for (const Structure s :
          {Structure::kDedicated, Structure::kDaemon, Structure::kPool}) {
       const Outcome o = run_structure(s, groups);
-      all_correct &= o.correct;
+      all_correct &= o.run.correct;
       // Round-robin over 4 HRT cores: no core may own more than half the
       // groups once there are at least two of them.
       if (groups >= 2) spread_ok &= o.max_core_share <= 0.5;
       if (s == Structure::kDaemon) {
-        clones_ok &= o.ros_clones == 1;
+        clones_ok &= o.run.ros_clones == 1;
         if (groups == 32) daemon32 = o.req_per_ms;
       }
       if (s == Structure::kPool) {
-        clones_ok &= o.ros_clones == 4;
+        clones_ok &= o.run.ros_clones == 4;
         if (groups == 32) pool32 = o.req_per_ms;
       }
       table.add_row({std::to_string(groups), structure_name(s),
-                     std::to_string(o.ros_clones),
-                     strfmt("%.3f", o.elapsed_ms),
+                     std::to_string(o.run.ros_clones),
+                     strfmt("%.3f", o.run.elapsed_ms),
                      strfmt("%.1f", o.req_per_ms),
                      strfmt("%.0f", o.p99_cycles), per_core_string(o)});
     }
   }
   table.print();
 
-  std::printf("\nall configurations behaved correctly: %s\n",
-              all_correct ? "yes" : "NO");
-  std::printf("round-robin placement never leaves >50%% of groups on one "
-              "HRT core: %s\n",
-              spread_ok ? "PASS" : "FAIL");
-  std::printf("ROS-side footprint: daemon holds 1 service thread, pool "
-              "holds exactly K=4: %s\n",
-              clones_ok ? "PASS" : "FAIL");
-  bool scaling_ok = true;
+  std::printf("\n");
+  Checks checks;
+  checks.check("all configurations behaved correctly", all_correct, "yes",
+               "NO");
+  checks.check("round-robin placement never leaves >50% of groups on one "
+               "HRT core",
+               spread_ok);
+  checks.check("ROS-side footprint: daemon holds 1 service thread, pool "
+               "holds exactly K=4",
+               clones_ok);
   if (max_groups >= 32) {
-    scaling_ok = pool32 >= 2.0 * daemon32;
-    std::printf("pool K=4 throughput at 32 groups is >=2x the single daemon "
-                "(%.1f vs %.1f req/ms, %.2fx): %s\n",
-                pool32, daemon32, daemon32 > 0 ? pool32 / daemon32 : 0.0,
-                scaling_ok ? "PASS" : "FAIL");
+    checks.check(strfmt("pool K=4 throughput at 32 groups is >=2x the single "
+                        "daemon (%.1f vs %.1f req/ms, %.2fx)",
+                        pool32, daemon32,
+                        daemon32 > 0 ? pool32 / daemon32 : 0.0),
+                 pool32 >= 2.0 * daemon32);
   } else {
     std::printf("(smoke run: sweep capped at %d groups, throughput-scaling "
                 "check skipped)\n", max_groups);
   }
-  return all_correct && spread_ok && clones_ok && scaling_ok ? 0 : 1;
+  return checks.exit_code();
 }

@@ -15,17 +15,6 @@
 namespace mvbench {
 namespace {
 
-double channel_counter_sum(const char* substr) {
-  double total = 0;
-  for (const auto& [name, c] :
-       metrics::Registry::instance().counters_with_prefix("channel/")) {
-    if (name.find(substr) != std::string::npos) {
-      total += static_cast<double>(c->value());
-    }
-  }
-  return total;
-}
-
 double queue_wait_p99() {
   double p99 = 0;
   for (const auto& [name, h] :
@@ -126,31 +115,14 @@ ExitStats measure_pool_exits(long long spin_cycles, int groups,
              "option spin_cycles %lld\n",
              spin_cycles);
   HybridSystem system(cfg);
-  static int s_reqs;
-  s_reqs = reqs_per_group;
-  auto r = system.run_accelerator(
-      "pool-exits",
-      [groups, sequential](ros::SysIface&, MultiverseRuntime& rt,
-                           ros::Thread& self) {
-        std::vector<int> ids;
-        for (int i = 0; i < groups; ++i) {
-          auto g = rt.hrt_thread_create(self, [](ros::SysIface& s) {
-            for (int j = 0; j < s_reqs; ++j) (void)s.getpid();
-          });
-          if (!g.is_ok()) return 1;
-          if (sequential) {
-            if (!rt.hrt_thread_join(self, *g).is_ok()) return 2;
-          } else {
-            ids.push_back(*g);
-          }
-        }
-        for (const int g : ids) {
-          if (!rt.hrt_thread_join(self, g).is_ok()) return 2;
-        }
-        return 0;
-      });
+  const GroupRun run = run_groups(
+      system, "pool-exits", groups,
+      [reqs_per_group](ros::SysIface& s) {
+        for (int j = 0; j < reqs_per_group; ++j) (void)s.getpid();
+      },
+      sequential);
   ExitStats stats;
-  if (r.is_ok() && r->exit_code == 0) {
+  if (run.correct) {
     stats.requests = channel_counter_sum("requests_served");
     stats.raise_exits = static_cast<double>(
         system.hvm().hypercall_count(vmm::Hypercall::kRaiseRos));
@@ -188,34 +160,17 @@ FaultRun measure_fault_leg(std::uint64_t seed, bool spin) {
              spin ? "150000" : "000000",
              static_cast<unsigned long long>(seed));
   HybridSystem system(cfg);
-  static std::uint64_t s_checksum;
-  s_checksum = 0;
-  auto r = system.run_accelerator(
-      "pool-faults",
-      [](ros::SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
-        std::vector<int> ids;
-        for (int i = 0; i < 4; ++i) {
-          auto g = rt.hrt_thread_create(self, [](ros::SysIface& s) {
-            // Commutative fold: groups run concurrently and their serve
-            // order is cycle-dependent, so the checksum must not depend on
-            // interleaving — only on every request getting the right answer.
-            for (int j = 0; j < 24; ++j) {
-              auto pid = s.getpid();
-              s_checksum +=
-                  (pid.is_ok() ? *pid : 0) * static_cast<std::uint64_t>(j + 1);
-            }
-          });
-          if (!g.is_ok()) return 1;
-          ids.push_back(*g);
-        }
-        for (const int g : ids) {
-          if (!rt.hrt_thread_join(self, g).is_ok()) return 2;
-        }
-        return 0;
-      });
   FaultRun run;
-  run.ok = r.is_ok() && r->exit_code == 0;
-  run.checksum = s_checksum;
+  run.ok = run_groups(system, "pool-faults", 4, [&run](ros::SysIface& s) {
+             // Commutative fold: groups run concurrently and their serve
+             // order is cycle-dependent, so the checksum must not depend on
+             // interleaving — only on every request getting the right answer.
+             for (int j = 0; j < 24; ++j) {
+               auto pid = s.getpid();
+               run.checksum += (pid.is_ok() ? *pid : 0) *
+                               static_cast<std::uint64_t>(j + 1);
+             }
+           }).correct;
   run.requests = channel_counter_sum("requests_served");
   if (FaultPlan* plan = system.runtime().fault_plan()) {
     run.recovered = plan->injected_total() > 0 &&
@@ -310,30 +265,28 @@ int main() {
   }
   faults.print();
 
-  const bool ok = eager.requests > 0 &&
-                  eager.ratio() > 0.999 &&       // one doorbell per request
-                  batched.ratio() < 0.5 &&       // coalesced flushes
-                  wait_eager > 0 &&
-                  wait_batched < wait_eager;     // deeper ring, shorter queue
+  std::printf("\n");
+  Checks checks;
+  checks.check("shape check (eager rings one doorbell per request; the "
+               "batched ring flushes <1 per request and cuts the contended "
+               "p99 queue wait)",
+               eager.requests > 0 &&
+                   eager.ratio() > 0.999 &&    // one doorbell per request
+                   batched.ratio() < 0.5 &&    // coalesced flushes
+                   wait_eager > 0 &&
+                   wait_batched < wait_eager);  // deeper ring, shorter queue
   // Exitless shape: at saturation the spin window absorbs (nearly) every
   // flush; idle traffic stays interrupt-driven (no cheaper than the
   // interrupt baseline, and nothing suppressed into a stall).
-  const bool exitless_ok =
-      spin_sat.requests > 0 &&
-      spin_sat.ratio() < 0.01 &&                  // exitless at saturation
-      spin_sat.ratio() < irq_sat.ratio() &&
-      spin_idle.requests > 0 &&
-      spin_idle.ratio() >= 0.5 * irq_idle.ratio();  // idle stays doorbell-fed
-  const bool fault_ok = faults_recovered && faults_identical;
-  std::printf("\nshape check (eager rings one doorbell per request; the "
-              "batched ring flushes <1 per request and cuts the contended "
-              "p99 queue wait): %s\n",
-              ok ? "PASS" : "FAIL");
-  std::printf("exitless check (spin saturation < 0.01 exits/request, idle "
-              "stays interrupt-driven): %s\n",
-              exitless_ok ? "PASS" : "FAIL");
-  std::printf("fault check (doorbell-drop schedules recover 6/6 with "
-              "identical guest output spin on/off): %s\n",
-              fault_ok ? "PASS" : "FAIL");
-  return ok && exitless_ok && fault_ok ? 0 : 1;
+  checks.check("exitless check (spin saturation < 0.01 exits/request, idle "
+               "stays interrupt-driven)",
+               spin_sat.requests > 0 &&
+                   spin_sat.ratio() < 0.01 &&  // exitless at saturation
+                   spin_sat.ratio() < irq_sat.ratio() &&
+                   spin_idle.requests > 0 &&
+                   spin_idle.ratio() >= 0.5 * irq_idle.ratio());
+  checks.check("fault check (doorbell-drop schedules recover 6/6 with "
+               "identical guest output spin on/off)",
+               faults_recovered && faults_identical);
+  return checks.exit_code();
 }

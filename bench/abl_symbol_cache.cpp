@@ -19,15 +19,10 @@ double measure_override_call_cycles(bool cache) {
       "abl1", [&](ros::SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
         const Status st = rt.hrt_invoke_func(self, [&](ros::SysIface& s) {
           auto& hrt = static_cast<HrtCtx&>(s);
-          hw::Core& core =
-              system.machine().core(system.config().hrt_core);
-          (void)hrt.aerokernel_call("nk_rand", 0);  // warm-up / cache fill
-          const int reps = 64;
-          const Cycles before = core.cycles();
-          for (int i = 0; i < reps; ++i) {
-            (void)hrt.aerokernel_call("nk_rand", 0);
-          }
-          cycles = static_cast<double>(core.cycles() - before) / reps;
+          // The warm-up call fills the cache.
+          cycles = mean_cycles(
+              system.machine().core(system.config().hrt_core), 64,
+              [&hrt] { (void)hrt.aerokernel_call("nk_rand", 0); });
         });
         return st.is_ok() ? 0 : 1;
       });
@@ -92,10 +87,10 @@ int main() {
   std::printf("override-path warm saving: %.0f cycles after the first call\n",
               override_first - override_steady);
 
-  const bool ok = uncached > cached * 2 && override_steady > 0 &&
-                  override_steady < override_first;
-  std::printf("shape check (cache removes the \"non-trivial overhead\", "
-              "override path warms after one call): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  Checks checks;
+  checks.check("shape check (cache removes the \"non-trivial overhead\", "
+               "override path warms after one call)",
+               uncached > cached * 2 && override_steady > 0 &&
+                   override_steady < override_first);
+  return checks.exit_code();
 }

@@ -43,16 +43,14 @@ int trivial_workload(ros::SysIface& sys) {
 // Mixed tenant workloads, one runtime system per tenant index.
 std::function<int(ros::SysIface&)> tenant_workload(int idx) {
   switch (idx % 3) {
-    case 0:  // Vessel Scheme
-      return [](ros::SysIface& sys) {
-        scheme::Engine engine(sys);
-        if (!engine.init().is_ok()) return 70;
-        auto r = engine.eval_to_string(
-            "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
-            "(fib 10)");
-        (void)engine.flush();
-        return r.is_ok() && *r == "55" ? 0 : 1;
-      };
+    case 0: {  // Vessel Scheme
+      VesselProgram fib(
+          "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
+          "(fib 10)",
+          scheme::Engine::Config{});
+      fib.expect = "55";
+      return vessel_guest(std::move(fib));
+    }
     case 1:  // VCODE VM
       return [](ros::SysIface& sys) {
         vcode::Vm vm(sys);
@@ -171,7 +169,7 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
   banner("abl_tenant_density",
          smoke ? "multi-tenant density (CI smoke fleet)"
                : "multi-tenant density (open-loop fleet)");
-  int failures = 0;
+  Checks checks;
 
   // --- tenants=1 bitwise identity (shape check) -----------------------------
   std::uint64_t baseline_bytes = 0;
@@ -185,13 +183,14 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
                            classic.total_syscalls == delegated.total_syscalls &&
                            classic.final_cycles == delegated.final_cycles &&
                            classic.metrics_text == delegated.metrics_text;
-  std::printf("tenants=1 identity: %s (cycles %llu vs %llu, metrics %s)\n",
-              identity_ok ? "BITWISE IDENTICAL" : "DIVERGED",
-              static_cast<unsigned long long>(classic.final_cycles),
-              static_cast<unsigned long long>(delegated.final_cycles),
-              classic.metrics_text == delegated.metrics_text ? "equal"
-                                                             : "DIFFER");
-  if (!identity_ok) ++failures;
+  const std::string detail = strfmt(
+      " (cycles %llu vs %llu, metrics %s)",
+      static_cast<unsigned long long>(classic.final_cycles),
+      static_cast<unsigned long long>(delegated.final_cycles),
+      classic.metrics_text == delegated.metrics_text ? "equal" : "DIFFER");
+  checks.check("tenants=1 identity", identity_ok,
+               ("BITWISE IDENTICAL" + detail).c_str(),
+               ("DIVERGED" + detail).c_str());
 
   // --- the fleet ------------------------------------------------------------
   begin_measurement();
@@ -216,16 +215,15 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
     if (fleet->programs[i].exit_code != 0) ++bad_exits;
   }
   if (bad_exits > 0) {
-    std::printf("WORKLOAD FAILURES: %d tenants exited nonzero\n", bad_exits);
-    ++failures;
+    checks.fail(strfmt("WORKLOAD FAILURES: %d tenants exited nonzero",
+                       bad_exits));
   }
   // Every created tenant destroys exactly once, and each destroy captures
   // one SLO snapshot.
   if (fleet->slo.size() != static_cast<std::size_t>(tenants_total - 1)) {
-    std::printf("SLO SNAPSHOT COUNT WRONG: %zu snapshots for %d created "
-                "tenants\n",
-                fleet->slo.size(), tenants_total - 1);
-    ++failures;
+    checks.fail(strfmt("SLO SNAPSHOT COUNT WRONG: %zu snapshots for %d "
+                       "created tenants",
+                       fleet->slo.size(), tenants_total - 1));
   }
 
   // --- cached boot vs cold boot ---------------------------------------------
@@ -247,10 +245,7 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
               cycles_to_seconds(static_cast<Cycles>(boot_p99)) * 1e6);
   const double speedup = boot_p99 > 0 ? cold / boot_p99 : 0;
   std::printf("cold/cached p99 speedup:   %.0fx (bound: >=100x)\n", speedup);
-  if (speedup < 100.0) {
-    std::printf("BOOT BOUND VIOLATED\n");
-    ++failures;
-  }
+  if (speedup < 100.0) checks.fail("BOOT BOUND VIOLATED");
 
   // --- density (marginal HRT footprint) -------------------------------------
   const std::uint64_t fleet_bytes = sys.hvm().hrt_bytes_used();
@@ -323,8 +318,7 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
          {std::pair{json_path, json}, std::pair{prom_path, text}}) {
       std::FILE* f = std::fopen(path.c_str(), "w");
       if (f == nullptr) {
-        std::printf("EXPORT FAILED: cannot open %s\n", path.c_str());
-        ++failures;
+        checks.fail(strfmt("EXPORT FAILED: cannot open %s", path.c_str()));
         continue;
       }
       std::fwrite(body.data(), 1, body.size(), f);
@@ -346,8 +340,7 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
   const StormSig stormy = storm_run(/*storm=*/true);
   end_measurement("storm_faulted");
   if (!clean.ok || !stormy.ok) {
-    std::printf("STORM LEG FAILED TO PRODUCE SNAPSHOTS\n");
-    ++failures;
+    checks.fail("STORM LEG FAILED TO PRODUCE SNAPSHOTS");
   } else if (clean.b_p99 <= 0.0) {
     // Metrics compiled out: the histograms never record, so there is no
     // latency signal to bound. The leg still proves both fleets complete.
@@ -360,18 +353,16 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
                 static_cast<unsigned long long>(stormy.a_faults_injected),
                 clean.b_p99, stormy.b_p99, bound);
     if (stormy.a_faults_injected == 0) {
-      std::printf("STORM LEG INERT: tenant A recorded no injected faults\n");
-      ++failures;
+      checks.fail("STORM LEG INERT: tenant A recorded no injected faults");
     }
     if (stormy.b_p99 > bound) {
-      std::printf("SLO ISOLATION VIOLATED: clean tenant's p99 degraded "
-                  "under a neighbor's storm\n");
-      ++failures;
+      checks.fail("SLO ISOLATION VIOLATED: clean tenant's p99 degraded "
+                  "under a neighbor's storm");
     }
   }
 
-  std::printf("%s\n", failures == 0 ? "OK" : "FAILED");
-  return failures == 0 ? 0 : 1;
+  std::printf("%s\n", checks.passed() ? "OK" : "FAILED");
+  return checks.exit_code();
 }
 
 }  // namespace

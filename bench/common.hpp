@@ -5,9 +5,13 @@
 // on this simulated stack, so the shape comparison is inspectable at a
 // glance in CI logs.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "multiverse/system.hpp"
 #include "runtime/scheme/engine.hpp"
@@ -40,6 +44,33 @@ inline void banner(const char* artifact, const char* description) {
               "Hybridization of Runtime Systems\" (HPDC'16)\n");
   std::printf("==============================================================\n");
 }
+
+// The shape-check ledger. Every PASS/FAIL line a bench prints goes through
+// check(), and the bench returns exit_code(), so a printed verdict and the
+// exit status cannot disagree.
+class Checks {
+ public:
+  // Columns "<label>:" is padded to; 0 prints it unpadded.
+  int align = 0;
+
+  // Prints "<label>: PASS" (or FAIL) and records the verdict.
+  bool check(const std::string& label, bool ok, const char* pass = "PASS",
+             const char* fail = "FAIL") {
+    std::printf("%-*s %s\n", align, (label + ":").c_str(), ok ? pass : fail);
+    failed_ |= !ok;
+    return ok;
+  }
+  // Records a failure the bench reports in its own words.
+  void fail(const std::string& message) {
+    std::printf("%s\n", message.c_str());
+    failed_ = true;
+  }
+  [[nodiscard]] bool passed() const { return !failed_; }
+  [[nodiscard]] int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
+};
 
 // Scheme engine configuration used by the Racket-benchmark harnesses: GC
 // pressure tuned so the legacy-interaction rate is paper-like. The bytecode
@@ -135,6 +166,146 @@ inline void print_channel_latency_percentiles() {
   if (any) std::printf("\n");
 }
 
+// --- measurement kit ---------------------------------------------------------
+
+// Sum of every channel counter whose name contains `substr`, over the last
+// measurement.
+inline std::uint64_t channel_counter_sum(const char* substr) {
+  std::uint64_t total = 0;
+  for (const auto& [name, c] :
+       metrics::Registry::instance().counters_with_prefix("channel/")) {
+    if (name.find(substr) != std::string::npos) total += c->value();
+  }
+  return total;
+}
+
+// Mean cycles `op` costs on `core` over `reps` calls, after one warm-up call.
+template <typename Op>
+double mean_cycles(hw::Core& core, int reps, Op op) {
+  op();
+  const Cycles before = core.cycles();
+  for (int i = 0; i < reps; ++i) op();
+  return static_cast<double>(core.cycles() - before) / reps;
+}
+
+// Mean cycles per forwarded getpid() on the HRT core of a hybridized run on
+// `system` (stub included), or -1 if the run fails. The system outlives the
+// call so its channel metrics can still be read.
+inline double forwarded_call_cycles(HybridSystem& system, int reps) {
+  double cycles = 0;
+  auto r = system.run_hybrid("forwarded-getpid", [&](ros::SysIface& sys) {
+    cycles = mean_cycles(system.machine().core(system.config().hrt_core), reps,
+                         [&sys] { (void)sys.getpid(); });
+    return 0;
+  });
+  return r ? cycles : -1;
+}
+
+inline std::uint64_t syscall_count(const ProgramResult& r, const char* name) {
+  const auto it = r.syscall_histogram.find(name);
+  return it == r.syscall_histogram.end() ? 0 : it->second;
+}
+
+// The run's syscalls as a table sorted by count, with a bar of one '#' per
+// `per_mark` calls (capped at 60).
+inline void print_syscall_histogram(const ProgramResult& r,
+                                    std::uint64_t per_mark) {
+  std::vector<std::pair<std::string, std::uint64_t>> hist(
+      r.syscall_histogram.begin(), r.syscall_histogram.end());
+  std::sort(hist.begin(), hist.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  Table table({"syscall", "count", ""});
+  for (const auto& [name, count] : hist) {
+    table.add_row({name, std::to_string(count),
+                   std::string(static_cast<std::size_t>(std::min<std::uint64_t>(
+                                   count / per_mark, 60)),
+                               '#')});
+  }
+  table.print();
+}
+
+struct GroupRun {
+  double elapsed_ms = 0;         // simulated, first spawn to last join
+  std::uint64_t ros_clones = 0;  // ROS-side service threads created
+  bool correct = false;          // every group ran its body and joined
+};
+
+// Accelerator-model run on `system`: spawn `groups` top-level HRT threads
+// (execution groups), each running `body`, and join them all. `sequential`
+// joins each group before spawning the next, so every request finds the ROS
+// side idle.
+inline GroupRun run_groups(HybridSystem& system, const char* name, int groups,
+                           const ros::GuestThreadFn& body,
+                           bool sequential = false) {
+  GroupRun out;
+  int completed = 0;
+  auto r = system.run_accelerator(
+      name, [&](ros::SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
+        const std::uint64_t start_us = system.linux().now_us();
+        std::vector<int> ids;
+        for (int g = 0; g < groups; ++g) {
+          auto id = rt.hrt_thread_create(self, [&](ros::SysIface& s) {
+            body(s);
+            ++completed;
+          });
+          if (!id) return 1;
+          if (sequential) {
+            if (!rt.hrt_thread_join(self, *id).is_ok()) return 2;
+          } else {
+            ids.push_back(*id);
+          }
+        }
+        for (const int id : ids) {
+          if (!rt.hrt_thread_join(self, id).is_ok()) return 2;
+        }
+        out.elapsed_ms =
+            static_cast<double>(system.linux().now_us() - start_us) / 1e3;
+        return 0;
+      });
+  if (!r) return out;
+  out.ros_clones = syscall_count(*r, "clone");
+  out.correct = r->exit_code == 0 && completed == groups;
+  return out;
+}
+
+// A Vessel Scheme program as the benches run it.
+struct VesselProgram {
+  explicit VesselProgram(std::string source,
+                         scheme::Engine::Config cfg = racket_profile())
+      : src(std::move(source)), engine(cfg) {}
+
+  std::string src;
+  scheme::Engine::Config engine;
+  bool echo = false;     // also print the last value, then a newline
+  std::string expect;    // when set, the last value must print as this
+  scheme::GcStats* gc_out = nullptr;  // receives the heap's GC statistics
+};
+
+// The guest for `p`: boot an engine (exit 70 if that fails), evaluate the
+// source, flush stdout, and exit 0 on success, else 1.
+inline std::function<int(ros::SysIface&)> vessel_guest(VesselProgram p) {
+  return [p = std::move(p)](ros::SysIface& sys) {
+    scheme::Engine engine(sys, p.engine);
+    if (!engine.init().is_ok()) return 70;
+    auto r = engine.eval_to_string(p.src);
+    if (r.is_ok() && p.echo) (void)engine.out(*r + "\n");
+    (void)engine.flush();
+    if (p.gc_out != nullptr) *p.gc_out = engine.heap().stats();
+    return r.is_ok() && (p.expect.empty() || *r == p.expect) ? 0 : 1;
+  };
+}
+
+// Install the Vessel boot files on `system`, then run `p` hybridized
+// (Mode::kMultiverse) or on the ROS alone.
+inline Result<ProgramResult> run_vessel(HybridSystem& system, Mode mode,
+                                        const std::string& name,
+                                        VesselProgram p) {
+  MV_RETURN_IF_ERROR(scheme::install_boot_files(system.linux().fs()));
+  auto guest = vessel_guest(std::move(p));
+  if (mode == Mode::kMultiverse) return system.run_hybrid(name, guest);
+  return system.run(name, guest);
+}
+
 inline Result<ProgramResult> run_scheme_benchmark(
     Mode mode, scheme::Bench b, int n,
     const scheme::Engine::Config& engine_cfg = racket_profile(),
@@ -142,21 +313,10 @@ inline Result<ProgramResult> run_scheme_benchmark(
   SystemConfig cfg;
   cfg.virtualized = mode != Mode::kNative;
   HybridSystem system(cfg);
-  MV_RETURN_IF_ERROR(scheme::install_boot_files(system.linux().fs()));
-  const std::string src = scheme::benchmark_source(b, n);
-  auto guest = [src, engine_cfg, gc_out](ros::SysIface& sys) {
-    scheme::Engine engine(sys, engine_cfg);
-    const Status up = engine.init();
-    if (!up.is_ok()) return 70;
-    auto r = engine.eval_string(src);
-    (void)engine.flush();
-    if (gc_out != nullptr) *gc_out = engine.heap().stats();
-    return r.is_ok() ? 0 : 1;
-  };
-  if (mode == Mode::kMultiverse) {
-    return system.run_hybrid(scheme::benchmark_name(b), guest);
-  }
-  return system.run(scheme::benchmark_name(b), guest);
+  VesselProgram program(scheme::benchmark_source(b, n), engine_cfg);
+  program.gc_out = gc_out;
+  return run_vessel(system, mode, scheme::benchmark_name(b),
+                    std::move(program));
 }
 
 }  // namespace mvbench

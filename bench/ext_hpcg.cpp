@@ -44,8 +44,7 @@ RunOutcome run_cg(Mode mode, const taskpar::CgConfig& cfg) {
   auto r = mode == Mode::kMultiverse ? system.run_hybrid("cg", guest)
                                      : system.run("cg", guest);
   if (!r) return RunOutcome{};
-  const auto it = r->syscall_histogram.find("clone");
-  out.clones = it == r->syscall_histogram.end() ? 0 : it->second;
+  out.clones = syscall_count(*r, "clone");
   return out;
 }
 
@@ -97,15 +96,16 @@ int main() {
   }
   table.print();
 
-  std::printf("\nnumerics converged in every configuration: %s\n",
-              all_converged ? "yes" : "NO");
+  std::printf("\n");
+  Checks checks;
+  checks.check("numerics converged in every configuration", all_converged,
+               "yes", "NO");
   std::printf("best HRT speedup: %.0f%% (paper's hand-ported HPCG: 20-40%%)\n",
               (best_speedup - 1.0) * 100.0);
-  std::printf("speedup grows with task granularity (cheaper AeroKernel "
-              "thread primitives amortize less): %s\n",
-              monotone ? "PASS" : "FAIL");
-  const bool ok = all_converged && best_speedup > 1.1;
-  std::printf("shape check (HRT wins on the thread-heavy runtime): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  checks.check("speedup grows with task granularity (cheaper AeroKernel "
+               "thread primitives amortize less)",
+               monotone);
+  checks.check("shape check (HRT wins on the thread-heavy runtime)",
+               all_converged && best_speedup > 1.1);
+  return checks.exit_code();
 }

@@ -20,19 +20,13 @@ struct RuntimeCase {
 };
 
 std::vector<RuntimeCase> runtime_cases() {
+  VesselProgram fib(
+      "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
+      "(fib 15)",
+      scheme::Engine::Config{});
+  fib.echo = true;
   return {
-      {"Vessel Scheme (Racket analogue)",
-       [](ros::SysIface& sys) {
-         scheme::Engine engine(sys);
-         if (!engine.init().is_ok()) return 70;
-         auto r = engine.eval_to_string(
-             "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
-             "(fib 15)");
-         if (!r.is_ok()) return 1;
-         (void)sys.write_str(1, *r + "\n");
-         (void)engine.flush();
-         return 0;
-       }},
+      {"Vessel Scheme (Racket analogue)", vessel_guest(std::move(fib))},
       {"VCODE VM (NESL analogue)",
        [](ros::SysIface& sys) {
          vcode::Vm vm(sys);
@@ -106,8 +100,9 @@ int main() {
   std::printf("\n\"Multiverse allows existing, unmodified applications and "
               "runtimes to be brought into the HRT model without any porting "
               "effort whatsoever.\"\n");
-  std::printf("shape check (every runtime hybridizes with identical "
-              "behaviour): %s\n",
-              all_ok ? "PASS" : "FAIL");
-  return all_ok ? 0 : 1;
+  Checks checks;
+  checks.check("shape check (every runtime hybridizes with identical "
+               "behaviour)",
+               all_ok);
+  return checks.exit_code();
 }

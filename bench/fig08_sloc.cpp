@@ -96,9 +96,10 @@ int main() {
   }
   sub.print();
 
-  const bool compact = total_here > 1500 && total_here < 15000;
-  std::printf("\nshape check (the Multiverse-proper components are compact, "
-              "same order of magnitude as the paper's 4735 SLOC): %s\n",
-              compact ? "PASS" : "FAIL");
-  return compact ? 0 : 1;
+  std::printf("\n");
+  Checks checks;
+  checks.check("shape check (the Multiverse-proper components are compact, "
+               "same order of magnitude as the paper's 4735 SLOC)",
+               total_here > 1500 && total_here < 15000);
+  return checks.exit_code();
 }

@@ -84,13 +84,10 @@ std::vector<double> measure(Mode mode) {
   const unsigned core_id = mode == Mode::kMultiverse ? system.config().hrt_core
                                                      : system.config().ros_core;
   auto guest = [&](ros::SysIface& s) {
+    // The warm-up call pages in buffers and churns fds.
     for (Case& c : make_cases()) {
-      c.op(s);  // warm-up (page in buffers, fd churn)
-      hw::Core& core = system.machine().core(core_id);
-      const int reps = 8;
-      const Cycles before = core.cycles();
-      for (int i = 0; i < reps; ++i) c.op(s);
-      out.push_back(static_cast<double>(core.cycles() - before) / reps);
+      out.push_back(mean_cycles(system.machine().core(core_id), 8,
+                                [&] { c.op(s); }));
     }
     return 0;
   };
@@ -145,10 +142,10 @@ int main() {
   table.print();
 
   std::printf("\nshape checks:\n");
-  std::printf("  vdso calls slightly faster under Multiverse: %s\n",
-              vdso_ok ? "PASS" : "FAIL");
-  std::printf("  forwarded calls pay ~one event-channel round trip (~25K "
-              "cycles, amortized for 1MB ops): %s\n",
-              forwarded_ok ? "PASS" : "FAIL");
-  return vdso_ok && forwarded_ok ? 0 : 1;
+  Checks checks;
+  checks.check("  vdso calls slightly faster under Multiverse", vdso_ok);
+  checks.check("  forwarded calls pay ~one event-channel round trip (~25K "
+               "cycles, amortized for 1MB ops)",
+               forwarded_ok);
+  return checks.exit_code();
 }

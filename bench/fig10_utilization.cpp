@@ -20,7 +20,7 @@ int main() {
                "Max Resident Set (Kb)", "Page Faults", "Context Switches",
                "GC Collects", "mmap/mprot/munmap"});
 
-  bool all_ok = true;
+  bool os_ok = true;
   double fannkuch_rate = 0;
   double min_other_rate = 1e18;
   std::uint64_t bintree_faults = 0;
@@ -39,13 +39,9 @@ int main() {
     if (!r) {
       std::printf("%s failed: %s\n", scheme::benchmark_name(b),
                   r.status().to_string().c_str());
-      all_ok = false;
+      os_ok = false;
       continue;
     }
-    const auto count_of = [&r](const char* name) {
-      const auto it = r->syscall_histogram.find(name);
-      return it == r->syscall_histogram.end() ? std::uint64_t{0} : it->second;
-    };
     table.add_row({scheme::benchmark_name(b),
                    std::to_string(r->total_syscalls),
                    strfmt("%.2f/%.2f", r->utime_s, r->stime_s),
@@ -54,14 +50,15 @@ int main() {
                    std::to_string(r->ctx_switches),
                    std::to_string(gc.collections),
                    strfmt("%llu/%llu/%llu",
-                          static_cast<unsigned long long>(count_of("mmap")),
                           static_cast<unsigned long long>(
-                              count_of("mprotect")),
+                              syscall_count(*r, "mmap")),
                           static_cast<unsigned long long>(
-                              count_of("munmap")))});
+                              syscall_count(*r, "mprotect")),
+                          static_cast<unsigned long long>(
+                              syscall_count(*r, "munmap")))});
     // Every benchmark interacts with the OS (the figure's thesis); the
     // relative shape claims are checked after the loop.
-    if (r->total_syscalls < 90 || r->page_faults < 15) all_ok = false;
+    if (r->total_syscalls < 90 || r->page_faults < 15) os_ok = false;
     const double rate =
         static_cast<double>(r->total_syscalls) / r->elapsed_s;
     if (b == scheme::Bench::kFannkuch) {
@@ -76,14 +73,6 @@ int main() {
     }
   }
   table.print();
-  // The paper's relative shape: fannkuch-redux is the *least*
-  // syscall-intensive benchmark (its permutation kernel barely allocates
-  // once call frames are pooled), and binary-tree-2 — pure allocation — is
-  // by far the most fault-heavy.
-  const bool fannkuch_least = fannkuch_rate < min_other_rate;
-  const bool bintree_heaviest = bintree_faults > max_other_faults;
-  if (!fannkuch_least || !bintree_heaviest) all_ok = false;
-
   std::printf("\npaper's values for reference (full-size inputs on real "
               "hardware):\n");
   Table paper({"Benchmark", "System Calls", "Time (User/Sys) (s)",
@@ -100,17 +89,21 @@ int main() {
                  "291"});
   paper.print();
 
+  // The paper's relative shape: fannkuch-redux is the *least*
+  // syscall-intensive benchmark (its permutation kernel barely allocates
+  // once call frames are pooled), and binary-tree-2 — pure allocation — is
+  // by far the most fault-heavy.
   std::printf("\nshape checks:\n");
-  std::printf("  every benchmark interacts with the OS: %s\n",
-              all_ok ? "PASS" : "FAIL");
-  std::printf("  fannkuch-redux is the least syscall-intensive benchmark "
-              "(%.0f vs next %.0f calls/s): %s\n",
-              fannkuch_rate, min_other_rate,
-              fannkuch_least ? "PASS" : "FAIL");
-  std::printf("  binary-tree-2 is the most fault-heavy benchmark "
-              "(%llu vs next %llu faults): %s\n",
-              static_cast<unsigned long long>(bintree_faults),
-              static_cast<unsigned long long>(max_other_faults),
-              bintree_heaviest ? "PASS" : "FAIL");
-  return all_ok ? 0 : 1;
+  Checks checks;
+  checks.check("  every benchmark interacts with the OS", os_ok);
+  checks.check(strfmt("  fannkuch-redux is the least syscall-intensive "
+                      "benchmark (%.0f vs next %.0f calls/s)",
+                      fannkuch_rate, min_other_rate),
+               fannkuch_rate < min_other_rate);
+  checks.check(strfmt("  binary-tree-2 is the most fault-heavy benchmark "
+                      "(%llu vs next %llu faults)",
+                      static_cast<unsigned long long>(bintree_faults),
+                      static_cast<unsigned long long>(max_other_faults)),
+               bintree_faults > max_other_faults);
+  return checks.exit_code();
 }

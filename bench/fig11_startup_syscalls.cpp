@@ -2,9 +2,6 @@
 // benchmark — pure engine startup. "Calls to mmap() and munmap() dominate
 // the system calls for the creation of the heap."
 
-#include <algorithm>
-#include <vector>
-
 #include "common.hpp"
 
 int main() {
@@ -14,46 +11,28 @@ int main() {
   SystemConfig cfg;
   cfg.virtualized = false;
   HybridSystem system(cfg);
-  if (!scheme::install_boot_files(system.linux().fs()).is_ok()) return 1;
-  auto r = system.run("startup", [](ros::SysIface& sys) {
-    scheme::Engine engine(sys, racket_profile());
-    return engine.init().is_ok() ? 0 : 1;
-  });
+  auto r = run_vessel(system, Mode::kNative, "startup", VesselProgram(""));
   if (!r) {
     std::printf("failed: %s\n", r.status().to_string().c_str());
     return 1;
   }
 
-  std::vector<std::pair<std::string, std::uint64_t>> hist(
-      r->syscall_histogram.begin(), r->syscall_histogram.end());
-  std::sort(hist.begin(), hist.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-
-  Table table({"syscall", "count", ""});
-  for (const auto& [name, count] : hist) {
-    table.add_row({name, std::to_string(count),
-                   std::string(static_cast<std::size_t>(
-                                   std::min<std::uint64_t>(count, 60)),
-                               '#')});
-  }
-  table.print();
+  print_syscall_histogram(*r, 1);
   std::printf("total syscalls at startup: %llu\n",
               static_cast<unsigned long long>(r->total_syscalls));
 
-  const auto count_of = [&](const char* name) {
-    const auto it = r->syscall_histogram.find(name);
-    return it == r->syscall_histogram.end() ? std::uint64_t{0} : it->second;
+  const auto count_of = [&r](const char* name) {
+    return syscall_count(*r, name);
   };
-  const bool mmap_dominates =
-      count_of("mmap") >= count_of("stat") &&
-      count_of("mmap") >= count_of("open") && count_of("mmap") > 10 &&
-      count_of("munmap") > 0;
-  std::printf("\nshape check (mmap/munmap dominate heap creation; "
-              "stat/open/read/close from collection loading; rt_sigaction + "
-              "setitimer from runtime setup): %s\n",
-              mmap_dominates && count_of("rt_sigaction") >= 1 &&
-                      count_of("setitimer") >= 1 && count_of("open") >= 3
-                  ? "PASS"
-                  : "FAIL");
-  return mmap_dominates ? 0 : 1;
+  std::printf("\n");
+  Checks checks;
+  checks.check("shape check (mmap/munmap dominate heap creation; "
+               "stat/open/read/close from collection loading; rt_sigaction + "
+               "setitimer from runtime setup)",
+               count_of("mmap") >= count_of("stat") &&
+                   count_of("mmap") >= count_of("open") &&
+                   count_of("mmap") > 10 && count_of("munmap") > 0 &&
+                   count_of("rt_sigaction") >= 1 &&
+                   count_of("setitimer") >= 1 && count_of("open") >= 3);
+  return checks.exit_code();
 }

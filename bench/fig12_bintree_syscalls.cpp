@@ -5,9 +5,6 @@
 // rt_sigreturn set up and return from those signals; the timer, getrusage
 // and polling support Scheme-level cooperative threads.
 
-#include <algorithm>
-#include <vector>
-
 #include "common.hpp"
 
 int main() {
@@ -24,19 +21,7 @@ int main() {
     return 1;
   }
 
-  std::vector<std::pair<std::string, std::uint64_t>> hist(
-      r->syscall_histogram.begin(), r->syscall_histogram.end());
-  std::sort(hist.begin(), hist.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-
-  Table table({"syscall", "count", ""});
-  for (const auto& [name, count] : hist) {
-    table.add_row({name, std::to_string(count),
-                   std::string(static_cast<std::size_t>(
-                                   std::min<std::uint64_t>(count / 8, 60)),
-                               '#')});
-  }
-  table.print();
+  print_syscall_histogram(*r, 8);
   std::printf("total: %llu syscalls, %llu page faults, %llu SIGSEGV "
               "deliveries (GC write barriers)\n",
               static_cast<unsigned long long>(r->total_syscalls),
@@ -50,9 +35,8 @@ int main() {
               static_cast<unsigned long long>(gc.chunks_unmapped),
               static_cast<unsigned long long>(gc.env_reuses));
 
-  const auto count_of = [&](const char* name) {
-    const auto it = r->syscall_histogram.find(name);
-    return it == r->syscall_histogram.end() ? std::uint64_t{0} : it->second;
+  const auto count_of = [&r](const char* name) {
+    return syscall_count(*r, name);
   };
   // The GC-service family must dominate; scheduler support must be present.
   const std::uint64_t gc_family = count_of("mmap") + count_of("munmap") +
@@ -61,17 +45,18 @@ int main() {
                                   count_of("rt_sigreturn");
   const std::uint64_t sched_family =
       count_of("poll") + count_of("getrusage") + count_of("setitimer");
-  const bool ok = gc_family > r->total_syscalls / 2 && sched_family > 10 &&
-                  count_of("munmap") > 20 && count_of("mprotect") > 5 &&
-                  count_of("rt_sigreturn") >= 1;
   std::printf("\nGC-service calls (mmap/munmap/mprotect/rt_sig*): %llu of "
               "%llu total\n",
               static_cast<unsigned long long>(gc_family),
               static_cast<unsigned long long>(r->total_syscalls));
   std::printf("scheduler-support calls (poll/getrusage/timers): %llu\n",
               static_cast<unsigned long long>(sched_family));
-  std::printf("\nshape check (GC service dominates; cooperative-thread "
-              "support present; heap sections freed with munmap): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  Checks checks;
+  checks.check("shape check (GC service dominates; cooperative-thread "
+               "support present; heap sections freed with munmap)",
+               gc_family > r->total_syscalls / 2 && sched_family > 10 &&
+                   count_of("munmap") > 20 && count_of("mprotect") > 5 &&
+                   count_of("rt_sigreturn") >= 1);
+  return checks.exit_code();
 }

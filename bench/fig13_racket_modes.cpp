@@ -101,30 +101,28 @@ int main(int argc, char** argv) {
   engines.print();
 
   std::printf("\nshape checks:\n");
-  std::printf("  Native <= Virtual <= Multiverse for every benchmark: %s\n",
-              ordering_ok ? "PASS" : "FAIL");
-  std::printf("  Virtual within ~10%% of Native: %s\n",
-              virtual_close ? "PASS" : "FAIL");
-  std::printf("  Multiverse pays a real forwarding cost (worst ratio "
-              "%.2fx): %s\n",
-              worst_mv_ratio, worst_mv_ratio > 1.05 ? "PASS" : "FAIL");
-  std::printf("  benchmark output identical across all three modes: %s\n",
-              identical_output ? "PASS" : "FAIL");
-  std::printf("  VM output byte-identical to the interpreter oracle: %s\n",
-              engines_identical ? "PASS" : "FAIL");
-  std::printf("  VM at least 3x faster than the interpreter (worst "
-              "%.2fx): %s\n",
-              worst_vm_speedup, worst_vm_speedup >= 3.0 ? "PASS" : "FAIL");
-  std::printf("  pooled call frames cut GC collections on every benchmark: "
-              "%s\n",
-              vm_fewer_collections ? "PASS" : "FAIL");
+  Checks checks;
+  checks.check("  Native <= Virtual <= Multiverse for every benchmark",
+               ordering_ok);
+  checks.check("  Virtual within ~10% of Native", virtual_close);
+  checks.check(strfmt("  Multiverse pays a real forwarding cost (worst ratio "
+                      "%.2fx)",
+                      worst_mv_ratio),
+               worst_mv_ratio > 1.05);
+  checks.check("  benchmark output identical across all three modes",
+               identical_output);
+  checks.check("  VM output byte-identical to the interpreter oracle",
+               engines_identical);
+  checks.check(strfmt("  VM at least 3x faster than the interpreter (worst "
+                      "%.2fx)",
+                      worst_vm_speedup),
+               worst_vm_speedup >= 3.0);
+  checks.check("  pooled call frames cut GC collections on every benchmark",
+               vm_fewer_collections);
   std::printf("\n(The paper's absolute times are for full-size Benchmarks "
               "Game inputs on an 8-core Opteron; these are scaled inputs on "
               "the simulated testbed. The ordering, the near-zero "
               "virtualization cost, and the interaction-rate-proportional "
               "Multiverse overhead are the reproduced results.)\n");
-  return ordering_ok && identical_output && engines_identical &&
-                 vm_fewer_collections && worst_vm_speedup >= 3.0
-             ? 0
-             : 1;
+  return checks.exit_code();
 }

@@ -44,18 +44,10 @@ double measure_sync_ns(bool same_socket) {
   cfg.hrt_core = same_socket ? 1 : 2;
   cfg.extra_override_config = "option sync_channel on\n";
   HybridSystem system(cfg);
-  double cycles = 0;
-  auto r = system.run_hybrid("sec2-sync", [&](ros::SysIface& sys) {
-    hw::Core& hrt_core = system.machine().core(system.config().hrt_core);
-    (void)sys.getpid();
-    const int reps = 32;
-    const Cycles before = hrt_core.cycles();
-    for (int i = 0; i < reps; ++i) (void)sys.getpid();
-    cycles = static_cast<double>(hrt_core.cycles() - before) / reps;
-    return 0;
-  });
-  return r ? cycles_to_ns(static_cast<Cycles>(cycles - stub_overhead_cycles()))
-           : -1;
+  const double cycles = forwarded_call_cycles(system, 32);
+  return cycles >= 0 ? cycles_to_ns(static_cast<Cycles>(
+                           cycles - stub_overhead_cycles()))
+                     : -1;
 }
 
 }  // namespace
@@ -78,11 +70,12 @@ int main() {
                  strfmt("%.0f ns", sync_cross_ns)});
   table.print();
 
-  const bool ok = signaling_us > 5 && signaling_us < 22 &&
-                  sync_same_ns > 180 && sync_same_ns < 720 &&
-                  sync_cross_ns > sync_same_ns && sync_cross_ns < 960;
-  std::printf("\nshape check (async in the ~11 us regime, sync in the "
-              "sub-500 ns regime, cross > same): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  Checks checks;
+  checks.check("shape check (async in the ~11 us regime, sync in the "
+               "sub-500 ns regime, cross > same)",
+               signaling_us > 5 && signaling_us < 22 && sync_same_ns > 180 &&
+                   sync_same_ns < 720 && sync_cross_ns > sync_same_ns &&
+                   sync_cross_ns < 960);
+  return checks.exit_code();
 }

@@ -41,7 +41,7 @@ int main() {
   std::printf("\nmean reboot latency: %.2f ms (paper: \"just "
               "milliseconds\", on par with fork()+exec())\n",
               mean);
-  const bool ok = mean > 0.2 && mean < 20.0;
-  std::printf("shape check: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  Checks checks;
+  checks.check("shape check", mean > 0.2 && mean < 20.0);
+  return checks.exit_code();
 }

@@ -105,10 +105,11 @@ int main() {
                         linux_costs.signal_cycles / naut.signal_cycles)});
   table.print();
 
-  const bool ok = linux_costs.thread_cycles > 10 * naut.thread_cycles &&
-                  linux_costs.signal_cycles > 2 * naut.signal_cycles;
-  std::printf("\nshape check (Nautilus primitives 1-2 orders of magnitude "
-              "cheaper, no ring crossings): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  Checks checks;
+  checks.check("shape check (Nautilus primitives 1-2 orders of magnitude "
+               "cheaper, no ring crossings)",
+               linux_costs.thread_cycles > 10 * naut.thread_cycles &&
+                   linux_costs.signal_cycles > 2 * naut.signal_cycles);
+  return checks.exit_code();
 }

@@ -1,6 +1,7 @@
 #include "multiverse/config.hpp"
 
-#include <stdexcept>
+#include <charconv>
+#include <limits>
 
 #include "support/faultplan.hpp"
 #include "support/strings.hpp"
@@ -9,9 +10,25 @@ namespace mv::multiverse {
 
 namespace {
 
+// Parse all of `tok` as a number in [min, max]. Trailing junk ("8abc"),
+// overflow and NaN are rejected, never truncated.
+template <typename T>
+bool parse_number(std::string_view tok, T min, T max, T* out) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), value);
+  if (ec != std::errc() || end != tok.data() + tok.size() ||
+      !(value >= min && value <= max)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 // `option hybridize on,promote_after=8,demote_on_fail=2,threshold=4000,
 // window=200000000` — leading on/off, then key=value knobs in any order.
 Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
+  constexpr auto kMaxU64 = std::numeric_limits<std::uint64_t>::max();
   HybridizeOptions opts;
   bool saw_mode = false;
   for (const std::string& raw : split(text, ',')) {
@@ -30,24 +47,22 @@ Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
     }
     const std::string& key = parts[0];
     const std::string& value = parts[1];
-    try {
-      if (key == "promote_after") {
-        opts.promote_after = std::stoull(value);
-        if (opts.promote_after == 0) throw std::invalid_argument("zero");
-      } else if (key == "demote_on_fail") {
-        opts.demote_on_fail = std::stoi(value);
-        if (opts.demote_on_fail < 1) throw std::invalid_argument("min 1");
-      } else if (key == "threshold") {
-        opts.threshold_cycles = std::stod(value);
-        if (opts.threshold_cycles < 0.0) throw std::invalid_argument("neg");
-      } else if (key == "window") {
-        opts.window_cycles = std::stoull(value);
-        if (opts.window_cycles == 0) throw std::invalid_argument("zero");
-      } else {
-        return err(Err::kParse,
-                   strfmt("hybridize spec: unknown key '%s'", key.c_str()));
-      }
-    } catch (...) {
+    bool ok = false;
+    if (key == "promote_after") {
+      ok = parse_number<std::uint64_t>(value, 1, kMaxU64, &opts.promote_after);
+    } else if (key == "demote_on_fail") {
+      ok = parse_number(value, 1, std::numeric_limits<int>::max(),
+                        &opts.demote_on_fail);
+    } else if (key == "threshold") {
+      ok = parse_number(value, 0.0, std::numeric_limits<double>::infinity(),
+                        &opts.threshold_cycles);
+    } else if (key == "window") {
+      ok = parse_number<std::uint64_t>(value, 1, kMaxU64, &opts.window_cycles);
+    } else {
+      return err(Err::kParse,
+                 strfmt("hybridize spec: unknown key '%s'", key.c_str()));
+    }
+    if (!ok) {
       return err(Err::kParse,
                  strfmt("hybridize spec: bad value for '%s'", key.c_str()));
     }
@@ -56,6 +71,22 @@ Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
     return err(Err::kParse, "hybridize spec wants leading on or off");
   }
   return opts;
+}
+
+// `option <key> <n>` for an integer option with the given minimum; options
+// whose minimum is 0 also accept `off`.
+template <typename T>
+Result<T> int_option(const std::vector<std::string>& tokens, int lineno,
+                     T min) {
+  T value{};
+  if ((min == 0 && tokens[2] == "off") ||
+      parse_number(tokens[2], min, std::numeric_limits<T>::max(), &value)) {
+    return value;
+  }
+  return err(Err::kParse,
+             strfmt("line %d: %s wants an integer >= %lld%s", lineno,
+                    tokens[1].c_str(), static_cast<long long>(min),
+                    min == 0 ? " (0 or 'off' disables)" : ""));
 }
 
 }  // namespace
@@ -75,27 +106,11 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
     if (tokens.empty()) continue;
 
     if (tokens[0] == "override") {
-      if (tokens.size() < 3 || tokens.size() > 4) {
+      if (tokens.size() != 3) {
         return err(Err::kParse,
-                   strfmt("line %d: override takes 2-3 operands", lineno));
+                   strfmt("line %d: override takes 2 operands", lineno));
       }
-      OverrideSpec spec;
-      spec.legacy_name = tokens[1];
-      spec.kernel_symbol = tokens[2];
-      if (tokens.size() == 4) {
-        if (!starts_with(tokens[3], "args=")) {
-          return err(Err::kParse, strfmt("line %d: expected args=", lineno));
-        }
-        for (const std::string& pair :
-             split(std::string_view(tokens[3]).substr(5), ',')) {
-          const auto parts = split(pair, ':');
-          if (parts.size() != 2) {
-            return err(Err::kParse, strfmt("line %d: bad arg map", lineno));
-          }
-          spec.arg_map.emplace_back(std::stoi(parts[0]), std::stoi(parts[1]));
-        }
-      }
-      config.overrides.push_back(std::move(spec));
+      config.overrides.push_back({tokens[1], tokens[2]});
     } else if (tokens[0] == "option") {
       if (tokens.size() != 3) {
         return err(Err::kParse, strfmt("line %d: option takes 2 operands",
@@ -110,85 +125,20 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
       } else if (tokens[1] == "sync_channel") {
         config.options.sync_channel = value;
       } else if (tokens[1] == "ring_depth") {
-        int depth = 0;
-        try {
-          depth = std::stoi(tokens[2]);
-        } catch (...) {
-          depth = 0;
-        }
-        if (depth < 1) {
-          return err(Err::kParse,
-                     strfmt("line %d: ring_depth wants a positive integer",
-                            lineno));
-        }
-        config.options.ring_depth = depth;
+        MV_ASSIGN_OR_RETURN(config.options.ring_depth,
+                            int_option(tokens, lineno, 1));
       } else if (tokens[1] == "service_workers") {
-        int workers = 0;
-        try {
-          workers = std::stoi(tokens[2]);
-        } catch (...) {
-          workers = 0;
-        }
-        if (workers < 1) {
-          return err(Err::kParse,
-                     strfmt("line %d: service_workers wants a positive integer",
-                            lineno));
-        }
-        config.options.service_workers = workers;
+        MV_ASSIGN_OR_RETURN(config.options.service_workers,
+                            int_option(tokens, lineno, 1));
       } else if (tokens[1] == "tenants") {
-        int tenants = 0;
-        try {
-          tenants = std::stoi(tokens[2]);
-        } catch (...) {
-          tenants = 0;
-        }
-        if (tenants < 1) {
-          return err(Err::kParse,
-                     strfmt("line %d: tenants wants a positive integer",
-                            lineno));
-        }
-        config.options.tenants = tenants;
-      } else if (tokens[1] == "hrt_placement") {
-        if (tokens[2] == "round_robin") {
-          config.options.hrt_placement = HrtPlacement::kRoundRobin;
-        } else if (tokens[2] == "least_loaded") {
-          config.options.hrt_placement = HrtPlacement::kLeastLoaded;
-        } else {
-          return err(Err::kParse,
-                     strfmt("line %d: hrt_placement wants round_robin or "
-                            "least_loaded",
-                            lineno));
-        }
+        MV_ASSIGN_OR_RETURN(config.options.tenants,
+                            int_option(tokens, lineno, 1));
       } else if (tokens[1] == "watchdog") {
-        int mult = -1;
-        try {
-          mult = std::stoi(tokens[2]);
-        } catch (...) {
-          mult = -1;
-        }
-        if (tokens[2] == "off") mult = 0;
-        if (mult < 0) {
-          return err(Err::kParse,
-                     strfmt("line %d: watchdog wants a non-negative round-trip "
-                            "multiple (0 or 'off' disables)",
-                            lineno));
-        }
-        config.options.watchdog = mult;
+        MV_ASSIGN_OR_RETURN(config.options.watchdog,
+                            int_option(tokens, lineno, 0));
       } else if (tokens[1] == "spin_cycles") {
-        long long cycles = -1;
-        try {
-          cycles = std::stoll(tokens[2]);
-        } catch (...) {
-          cycles = -1;
-        }
-        if (tokens[2] == "off") cycles = 0;
-        if (cycles < 0) {
-          return err(Err::kParse,
-                     strfmt("line %d: spin_cycles wants a non-negative cycle "
-                            "count (0 or 'off' disables)",
-                            lineno));
-        }
-        config.options.spin_cycles = cycles;
+        MV_ASSIGN_OR_RETURN(config.options.spin_cycles,
+                            int_option(tokens, lineno, 0LL));
       } else if (tokens[1] == "fault") {
         // Validate eagerly so a typo'd fault spec fails at parse time, not
         // when the runtime builds the plan.

@@ -7,7 +7,7 @@
 // AeroKernel variant."
 //
 // Grammar (line oriented, '#' comments):
-//   override <legacy_name> <aerokernel_symbol> [args=<i>:<j>,<i>:<j>...]
+//   override <legacy_name> <aerokernel_symbol>
 //   option   <key> <value>
 
 #include <cstdint>
@@ -21,15 +21,6 @@ namespace mv::multiverse {
 struct OverrideSpec {
   std::string legacy_name;     // e.g. "pthread_create", "mmap"
   std::string kernel_symbol;   // e.g. "nk_thread_create", "nk_mmap"
-  // Argument index mapping legacy->kernel; identity when empty.
-  std::vector<std::pair<int, int>> arg_map;
-};
-
-// How the runtime places top-level HRT threads (and their channels) across
-// the HRT core partition.
-enum class HrtPlacement {
-  kRoundRobin,   // next core in partition order per group (default)
-  kLeastLoaded,  // core with the fewest live top-level HRT threads
 };
 
 // Adaptive hybridization: the governor watches per-family forwarded-syscall
@@ -69,8 +60,6 @@ struct ToolchainOptions {
   // keeps the single-guest model: tenant 0 (the startup process) is the
   // only tenant, and tenant_create fails.
   int tenants = 1;
-  // Placement policy for top-level HRT threads.
-  HrtPlacement hrt_placement = HrtPlacement::kRoundRobin;
   // Stall watchdog: flag an in-flight request once its age exceeds this
   // multiple of the channel's modeled transport round trip (0 = off). Purely
   // observational — flagging charges no simulated cycles.

@@ -244,7 +244,24 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
   }
 
   hw::Core& core = hvm_->machine().core(hrt_core_);
-  if (!sync_mode_ && page_read(Ring::kOffConsumerPoll) != 0) {
+  if (sync_mode_) {
+    // Post-merge memory protocol (either ring depth): per-request cache-line
+    // transfers make the submission visible; the partner polls the ring — no
+    // hypercall at all.
+    core.charge(transport_cost());
+    if (fault_mode_ &&
+        plan_->should_inject(FaultClass::kDelayWakeup, core.cycles())) {
+      plan_->note_injected(FaultClass::kDelayWakeup);
+      pending_delayed_wake_ = true;
+      MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:delay_wakeup",
+                        strfmt("\"span\":%llu", static_cast<unsigned long long>(
+                                                    meta.span)));
+      return;
+    }
+    wake_partner();
+    return;
+  }
+  if (page_read(Ring::kOffConsumerPoll) != 0) {
     // Exitless flush: the shard's service worker is polling this ring, so
     // the staged stores are all the transport there is — no doorbell
     // hypercall, no VMM traversal, no exit. Counted separately from
@@ -267,50 +284,23 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
     // code. The async doorbell is part of that composite cost, so it only
     // bumps the counter here.
     core.charge(transport_cost());
-    if (!sync_mode_) {
-      ++doorbells_;
-      MV_COUNTER_INC(doorbell_metric_, 1);
-      // The doorbell traverses the VMM whether or not delivery succeeds.
-      trace_vmm_hop(meta.span, "doorbell");
-      MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, seq, 0, "eager",
-                    tenant_.tenant_id);
-      if (fault_mode_ &&
-          plan_->should_inject(FaultClass::kDropDoorbell, core.cycles())) {
-        // The composite doorbell+injection was lost: the submission sits in
-        // the ring with no wakeup. The requester's deadline recovers.
-        plan_->note_injected(FaultClass::kDropDoorbell);
-        MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:drop_doorbell",
-                          strfmt("\"span\":%llu", static_cast<unsigned long long>(
-                                                      meta.span)) +
-                              tenant_args_);
-        MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbellDrop, meta.span, seq, 0, "",
-                      tenant_.tenant_id);
-        return;
-      }
-    } else if (fault_mode_ &&
-               plan_->should_inject(FaultClass::kDelayWakeup, core.cycles())) {
-      plan_->note_injected(FaultClass::kDelayWakeup);
-      pending_delayed_wake_ = true;
-      MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:delay_wakeup",
-                        strfmt("\"span\":%llu", static_cast<unsigned long long>(
-                                                    meta.span)));
-      return;
-    }
-    wake_partner();
-    return;
-  }
-
-  if (sync_mode_) {
-    // Post-merge memory protocol: per-request cache-line transfers make the
-    // submission visible; the partner polls the ring — no hypercall at all.
-    core.charge(transport_cost());
+    ++doorbells_;
+    MV_COUNTER_INC(doorbell_metric_, 1);
+    // The doorbell traverses the VMM whether or not delivery succeeds.
+    trace_vmm_hop(meta.span, "doorbell");
+    MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, seq, 0, "eager",
+                  tenant_.tenant_id);
     if (fault_mode_ &&
-        plan_->should_inject(FaultClass::kDelayWakeup, core.cycles())) {
-      plan_->note_injected(FaultClass::kDelayWakeup);
-      pending_delayed_wake_ = true;
-      MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:delay_wakeup",
+        plan_->should_inject(FaultClass::kDropDoorbell, core.cycles())) {
+      // The composite doorbell+injection was lost: the submission sits in
+      // the ring with no wakeup. The requester's deadline recovers.
+      plan_->note_injected(FaultClass::kDropDoorbell);
+      MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:drop_doorbell",
                         strfmt("\"span\":%llu", static_cast<unsigned long long>(
-                                                    meta.span)));
+                                                    meta.span)) +
+                            tenant_args_);
+      MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbellDrop, meta.span, seq, 0, "",
+                    tenant_.tenant_id);
       return;
     }
     wake_partner();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "support/flightrec.hpp"
 #include "support/log.hpp"
@@ -81,7 +80,6 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
   if (sampled) gov->note_forwarded(nr, core, core.cycles() - begin);
   if (nr == ros::SysNr::kExitGroup && result.is_ok()) {
     group_->finished = true;
-    rt_->release_core_load(*group_);
   }
   return result;
 }
@@ -488,7 +486,6 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
   // clock and doorbells track the thread that actually uses it.
   const unsigned hrt_core = pick_hrt_core();
   group->hrt_core = hrt_core;
-  ++hrt_core_load_[hrt_core];
   metrics::Registry::instance()
       .counter(strfmt("mv/groups/per_core/%u", hrt_core))
       .inc();
@@ -638,7 +635,6 @@ void MultiverseRuntime::partner_body(ExecGroup* group, ros::SysIface& pctx) {
   // exit, at which point the main thread will be unblocked").
   (void)pctx.munmap(group->hrt_stack_base, group->hrt_stack_size);
   group->finished = true;
-  release_core_load(*group);
 }
 
 // --- placement -------------------------------------------------------------
@@ -646,29 +642,7 @@ void MultiverseRuntime::partner_body(ExecGroup* group, ros::SysIface& pctx) {
 unsigned MultiverseRuntime::pick_hrt_core() {
   const std::vector<unsigned>& cores = hvm_->config().hrt_cores;
   if (cores.size() == 1) return cores.front();
-  if (config_.options.hrt_placement == HrtPlacement::kLeastLoaded) {
-    // Ties break toward partition order, so an idle machine fills cores in
-    // the same sequence round-robin would.
-    unsigned best = cores.front();
-    int best_load = std::numeric_limits<int>::max();
-    for (const unsigned core : cores) {
-      const auto it = hrt_core_load_.find(core);
-      const int load = it == hrt_core_load_.end() ? 0 : it->second;
-      if (load < best_load) {
-        best_load = load;
-        best = core;
-      }
-    }
-    return best;
-  }
   return cores[next_hrt_core_rr_++ % cores.size()];
-}
-
-void MultiverseRuntime::release_core_load(ExecGroup& group) {
-  if (group.hrt_load_released) return;
-  group.hrt_load_released = true;
-  const auto it = hrt_core_load_.find(group.hrt_core);
-  if (it != hrt_core_load_.end() && it->second > 0) --it->second;
 }
 
 // --- shared-daemon execution groups (future-work variant) -------------------
@@ -757,7 +731,6 @@ void MultiverseRuntime::service_worker_body(std::size_t idx,
       if (channel.exit_requested() && !channel.has_request()) {
         (void)dctx.munmap(group->hrt_stack_base, group->hrt_stack_size);
         group->finished = true;
-        release_core_load(*group);
         for (const TaskId waiter : group->join_waiters) {
           sched_->unblock(waiter);
         }
@@ -1087,7 +1060,6 @@ Status MultiverseRuntime::tenant_destroy(int tenant_id) {
 }
 
 void MultiverseRuntime::destroy_group(ExecGroup* group) {
-  release_core_load(*group);
   if (group->channel) naut_->detach_channel(group->channel.get());
   for (ServiceWorker& worker : workers_) {
     worker.ready.erase(

@@ -106,9 +106,6 @@ struct ExecGroup {
   std::uint64_t fs_base = 0;        // TLS superposition payload
   hw::Gdt gdt;                      // GDT superposition payload
   bool finished = false;
-  // The group's placement-load contribution has been returned to the pool
-  // (idempotence guard: several teardown paths can race to release it).
-  bool hrt_load_released = false;
   // Each HRT context (top-level + nested threads) stages syscall arguments
   // in its own slice of the ROS-side stack, so concurrent requests on the
   // shared channel cannot clobber each other's buffers.
@@ -269,12 +266,6 @@ class MultiverseRuntime {
   [[nodiscard]] std::size_t service_worker_count() const noexcept {
     return workers_.size();
   }
-  // Live (placed, not yet torn down) groups on an HRT core, as the
-  // least-loaded placement policy sees them.
-  [[nodiscard]] int hrt_core_load(unsigned core) const {
-    const auto it = hrt_core_load_.find(core);
-    return it == hrt_core_load_.end() ? 0 : it->second;
-  }
   // Tenant 0's state, for benches and tests that inspect the startup
   // process's run: the fault plan built from `option fault` (null when the
   // config carries none), the adaptive-hybridization governor (null unless
@@ -326,8 +317,8 @@ class MultiverseRuntime {
   };
 
   Result<ExecGroup*> create_group(ros::Thread& caller, ros::GuestThreadFn fn);
-  // Erase one finished group everywhere it is referenced: placement load,
-  // the kernel's channel pointers, shard ready deques and group lists, the
+  // Erase one finished group everywhere it is referenced: the kernel's
+  // channel pointers, shard ready deques and group lists, the
   // invocation trampoline, and the id indexes. Destroying the group frees
   // its channel (ring page, providers, watchdog state) with it.
   void destroy_group(ExecGroup* group);
@@ -349,10 +340,9 @@ class MultiverseRuntime {
   // Doorbell path: push the group onto its shard's ready queue (deduped) and
   // wake only that shard's worker.
   void enqueue_ready(ExecGroup* group);
-  // Placement policy for a new group's top-level HRT thread.
+  // Placement for a new group's top-level HRT thread: round-robin over the
+  // HRT partition.
   [[nodiscard]] unsigned pick_hrt_core();
-  // Return the group's contribution to its core's placement load (idempotent).
-  void release_core_load(ExecGroup& group);
   Status launch_hrt_thread(ExecGroup* group, ros::Thread& launcher,
                            ros::SysIface& lctx);
   // Lazily resolve an override entry's kernel symbol on its first use
@@ -378,11 +368,8 @@ class MultiverseRuntime {
   GroupMode group_mode_ = GroupMode::kDedicatedPartner;
   std::vector<ServiceWorker> workers_;
   bool pool_stop_ = false;
-  // Placement state: round-robin cursor and per-core live-group counts (the
-  // runtime's own accounting — in dedicated-partner mode the kernel thread
-  // spawns lazily, so kernel-side thread counts lag placement decisions).
+  // Placement state: the round-robin cursor over the HRT partition.
   std::size_t next_hrt_core_rr_ = 0;
-  std::map<unsigned, int> hrt_core_load_;
   // Tenants by id, process, and HRT root (tenant 0 from startup on).
   std::map<int, std::unique_ptr<Tenant>> tenants_;
   std::map<ros::Process*, Tenant*> tenants_by_proc_;

@@ -1,4 +1,5 @@
 #include "runtime/scheme/engine.hpp"
+#include "support/fiber.hpp"
 #include "support/strings.hpp"
 
 // The Vessel evaluator: environment-passing interpreter with proper tail
@@ -130,6 +131,14 @@ Result<Value> Engine::eval_body_tail(Value body, Cell* env, Value* tail_expr,
 }
 
 Result<Value> Engine::eval(Value expr, Cell* env) {
+  // Non-tail recursion nests host frames. Fail while the stack still has
+  // room for one more level plus whatever builtin it calls (frames are
+  // several times larger under sanitizers, hence the generous reserve).
+  // Host-side only: no simulated cycles are charged.
+  constexpr std::size_t kStackReserve = 256 * 1024;
+  if (Fiber::stack_headroom() < kStackReserve) {
+    return err(Err::kLimit, "recursion too deep for the evaluator's stack");
+  }
   for (;;) {
     RootScope scope(heap_);
     scope.add(expr);

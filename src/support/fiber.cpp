@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <limits>
 
 namespace mv {
 namespace {
@@ -59,5 +60,13 @@ void Fiber::yield() {
 }
 
 Fiber* Fiber::current() noexcept { return g_current_fiber; }
+
+std::size_t Fiber::stack_headroom() noexcept {
+  const Fiber* self = g_current_fiber;
+  if (self == nullptr) return std::numeric_limits<std::size_t>::max();
+  const auto sp = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  const auto floor = reinterpret_cast<std::uintptr_t>(self->stack_.data());
+  return sp > floor ? sp - floor : 0;
+}
 
 }  // namespace mv

@@ -42,6 +42,11 @@ class Fiber {
   // The fiber currently executing, or nullptr when in the scheduler context.
   static Fiber* current() noexcept;
 
+  // Bytes of the running fiber's stack left below the caller (unbounded
+  // outside any fiber). Lets deep recursion fail with an error before it
+  // overruns the stack.
+  static std::size_t stack_headroom() noexcept;
+
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] bool finished() const noexcept {
     return state_ == State::kFinished;

@@ -138,48 +138,6 @@ TEST(PlacementPolicyTest, RoundRobinSpreadsGroupsEvenly) {
   }
 }
 
-TEST(PlacementPolicyTest, LeastLoadedTracksLiveGroupsAndReleasesOnFinish) {
-  SystemConfig cfg;
-  cfg.ros_cores = {0};
-  cfg.hrt_cores = {1, 2, 3};
-  cfg.extra_override_config = "option hrt_placement least_loaded\n";
-  HybridSystem sys(cfg);
-  auto r = sys.run_accelerator(
-      "least-loaded", [](SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
-        // Three live groups created back-to-back: least-loaded must put one
-        // on each core (each placement bumps that core's load to 1).
-        std::vector<int> groups;
-        std::set<unsigned> cores;
-        for (int i = 0; i < 3; ++i) {
-          auto g = rt.hrt_thread_create(
-              self, [](SysIface& s) { (void)s.getpid(); });
-          if (!g.is_ok()) return 1;
-          groups.push_back(*g);
-          cores.insert(rt.find_group(*g)->hrt_core);
-        }
-        if (cores.size() != 3) return 2;
-        for (const unsigned core : {1u, 2u, 3u}) {
-          if (rt.hrt_core_load(core) != 1) return 3;
-        }
-        for (const int g : groups) {
-          if (!rt.hrt_thread_join(self, g).is_ok()) return 4;
-        }
-        // Teardown returned every group's load to the pool.
-        for (const unsigned core : {1u, 2u, 3u}) {
-          if (rt.hrt_core_load(core) != 0) return 5;
-        }
-        // With all loads tied at zero again, ties break toward partition
-        // order: the next group lands on the first HRT core.
-        auto g = rt.hrt_thread_create(
-            self, [](SysIface& s) { (void)s.getpid(); });
-        if (!g.is_ok()) return 6;
-        if (rt.find_group(*g)->hrt_core != 1) return 7;
-        return rt.hrt_thread_join(self, *g).is_ok() ? 0 : 8;
-      });
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ(r->exit_code, 0);
-}
-
 // --- sharded service pool ----------------------------------------------------
 
 TEST(ServicePoolTest, ShardedWorkersServeAllGroups) {
@@ -219,16 +177,12 @@ TEST(ServicePoolTest, ShardedWorkersServeAllGroups) {
 }
 
 TEST(ServicePoolConfigTest, ParsesAndValidatesOptions) {
-  auto ok = parse_override_config(
-      "option service_workers 4\noption hrt_placement least_loaded\n");
+  auto ok = parse_override_config("option service_workers 4\n");
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
   EXPECT_EQ(ok->options.service_workers, 4);
-  EXPECT_EQ(ok->options.hrt_placement, HrtPlacement::kLeastLoaded);
   EXPECT_EQ(parse_override_config("option service_workers 0\n").code(),
             Err::kParse);
   EXPECT_EQ(parse_override_config("option service_workers banana\n").code(),
-            Err::kParse);
-  EXPECT_EQ(parse_override_config("option hrt_placement sometimes\n").code(),
             Err::kParse);
 }
 

@@ -56,6 +56,15 @@ TEST(HybridizeConfigTest, OffByDefaultAndParseRejectsGarbage) {
   EXPECT_EQ(
       parse_override_config("option hybridize on,demote_on_fail=zz\n").code(),
       Err::kParse);
+  for (const char* knob : {"promote_after=8abc", "demote_on_fail=2x",
+                           "threshold=500cycles", "threshold=nan",
+                           "window=-5"}) {
+    EXPECT_EQ(parse_override_config(
+                  strfmt("option hybridize on,%s\n", knob))
+                  .code(),
+              Err::kParse)
+        << knob;
+  }
 }
 
 TEST(HybridizeConfigTest, OverrideFailClassParsesButDoesNotArmChannel) {

@@ -9,6 +9,7 @@
 
 #include "multiverse/system.hpp"
 #include "support/metrics.hpp"
+#include "support/strings.hpp"
 
 namespace mv::multiverse {
 namespace {
@@ -22,14 +23,14 @@ TEST(OverrideConfigTest, ParsesOverridesAndOptions) {
   auto cfg = parse_override_config(
       "# comment\n"
       "override mmap nk_mmap\n"
-      "override pthread_create nk_thread_create args=0:1,1:0\n"
+      "override pthread_create nk_thread_create\n"
       "option symbol_cache on\n"
       "\n"
       "option merge_address_space off\n");
   ASSERT_TRUE(cfg.is_ok());
   ASSERT_EQ(cfg->overrides.size(), 2u);
   EXPECT_EQ(cfg->overrides[0].legacy_name, "mmap");
-  EXPECT_EQ(cfg->overrides[1].arg_map.size(), 2u);
+  EXPECT_EQ(cfg->overrides[1].kernel_symbol, "nk_thread_create");
   EXPECT_TRUE(cfg->options.symbol_cache);
   EXPECT_FALSE(cfg->options.merge_address_space);
   EXPECT_NE(cfg->find("mmap"), nullptr);
@@ -41,6 +42,30 @@ TEST(OverrideConfigTest, RejectsBadDirectives) {
             Err::kParse);
   EXPECT_EQ(parse_override_config("override onlyone\n").code(), Err::kParse);
   EXPECT_EQ(parse_override_config("option nonsense on\n").code(), Err::kParse);
+  // Malformed operands end in a parse error, never in an exception that
+  // escapes the parser and aborts the host.
+  EXPECT_EQ(parse_override_config("override mmap nk_mmap args=a:b\n").code(),
+            Err::kParse);
+  EXPECT_EQ(
+      parse_override_config("override mmap nk_mmap args=0:99999999999\n")
+          .code(),
+      Err::kParse);
+  // Integer options take the whole token: no trailing junk, no overflow.
+  for (const char* key : {"ring_depth", "service_workers", "tenants",
+                          "watchdog", "spin_cycles"}) {
+    EXPECT_TRUE(parse_override_config(strfmt("option %s 8\n", key)).is_ok())
+        << key;
+    EXPECT_EQ(parse_override_config(strfmt("option %s 8abc\n", key)).code(),
+              Err::kParse)
+        << key;
+    EXPECT_EQ(parse_override_config(
+                  strfmt("option %s 99999999999999999999\n", key))
+                  .code(),
+              Err::kParse)
+        << key;
+  }
+  EXPECT_EQ(parse_override_config("option ring_depth 3000000000\n").code(),
+            Err::kParse);
 }
 
 TEST(OverrideConfigTest, DefaultsIncludePthreadInterposition) {

@@ -286,6 +286,36 @@ TEST_F(SchemeTest, ErrorsPropagate) {
   EXPECT_NE(ev("((lambda (x) x) 1 2)").find("ERROR"), std::string::npos);
 }
 
+// Deep non-tail recursion must never overflow the host stack. The tree
+// walker nests host frames per Scheme call, so it must fail with an error
+// status; the VM keeps its frames on the heap and computes the answer.
+TEST_F(SchemeTest, DeepRecursionIsAnErrorNotAHostCrash) {
+  const std::string src =
+      "(define (f n) (if (= n 0) 0 (+ 1 (f (- n 1))))) (f 100000)";
+  for (const Engine::Exec exec :
+       {Engine::Exec::kInterpreter, Engine::Exec::kBytecodeVm}) {
+    Engine::Config cfg;
+    cfg.exec = exec;
+    std::string result;
+    run_guest([&](ros::SysIface& sys) {
+      Engine engine(sys, cfg);
+      EXPECT_TRUE(engine.init().is_ok());
+      auto r = engine.eval_to_string(src);
+      result = r.is_ok() ? *r : "ERROR: " + r.status().to_string();
+      // The engine stays usable after the deep evaluation.
+      auto after = engine.eval_to_string("(f 10)");
+      EXPECT_TRUE(after.is_ok() && *after == "10");
+      return 0;
+    });
+    if (exec == Engine::Exec::kInterpreter) {
+      EXPECT_NE(result.find("recursion too deep"), std::string::npos)
+          << result;
+    } else {
+      EXPECT_EQ(result, "100000");
+    }
+  }
+}
+
 // Reader error paths: every malformed input must surface a PARSE status
 // with a useful message, never a crash, a silent misread, or a bogus value.
 TEST_F(SchemeTest, ReaderRejectsMalformedInput) {
